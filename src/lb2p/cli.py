@@ -44,6 +44,16 @@ ASSIGNMENT_FORMAT = "assignment file: one line of n characters from {0,1}, one p
 FORMULA_FORMAT = "formula file: header 'p nae3 n k', then k lines of 3 distinct 1-based variables"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _load_graph(path: str):
     return parse_graph(Path(path).read_text(encoding="ascii"))
 
@@ -180,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide existence and print a witness")
     p.add_argument("--mode", choices=("open", "closed"), required=True)
     p.add_argument("--method", choices=("auto", "brute"), default="auto")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
+    p.add_argument(
+        "--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET, help="search node budget (> 0)"
+    )
     p.add_argument("graph", help=GRAPH_FORMAT)
     p.set_defaults(func=_cmd_solve)
 

@@ -1,14 +1,28 @@
 """Exact existence decision and enumeration for locally-balanced 2-partitions.
 
-The search branches on the lowest-index unassigned vertex (value 0 first)
-and interleaves a forcing rule evaluated per constraint scope: with s the
-phi-star sum of the assigned scope members and m the number unassigned, the
-admissible totals A ({0} for even-size scopes, {-1,+1} for odd) leave the
-unassigned part in T = {a - s : a in A, |a - s| <= m, a - s ≡ m (mod 2)}.
-Empty T is a conflict; T = {+m} or {-m} fixes every unassigned scope member.
-The degree-2 open rule (the two neighbors of a degree-2 vertex get distinct
+Forcing rule, evaluated per constraint scope: with s the phi-star sum of the
+assigned scope members and m the number unassigned, the admissible totals A
+({0} for even-size scopes, {-1,+1} for odd) leave the unassigned part in
+T = {a - s : a in A, |a - s| <= m, a - s ≡ m (mod 2)}.  Empty T is a
+conflict; T = {+m} or {-m} fixes every unassigned scope member.  The
+degree-2 open rule (the two neighbors of a degree-2 vertex get distinct
 labels) and the degree-1 closed rule (a leaf differs from its support) fall
 out as instances.
+
+``decide`` first runs the rule to fixpoint, then splits the unassigned
+vertices into the components of the scope hypergraph: two vertices are
+linked when they share an active scope.  In open mode on a bipartite graph
+this also separates the two sides.  Each component is searched on its own,
+in order of its smallest vertex, by depth-first search in index order with
+value 0 first, and the first unsatisfiable component ends the search.  All
+components draw on one node budget.  Flipping every label of a component
+leaves every |balance| unchanged when no scope touching it holds an
+assigned (fixed or forced) label; such a component branches only on 0 for
+its first vertex.  Vertices in no active scope get label 0.  Because the
+components own disjoint coordinates, the tuple of their lexicographically
+first labelings is the lexicographically first witness of the whole graph.
+``enumerate_partitions`` runs the same search unsplit over all vertices,
+which yields every valid partition in lexicographic order.
 
 Waived vertices have their own constraint dropped but still appear in other
 scopes; this models gadget inputs whose external contributions are unknown.
@@ -16,9 +30,8 @@ scopes; this models gadget inputs whose external contributions are unknown.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -93,17 +106,11 @@ class SolveOutcome:
     witness: Optional[TwoPartition]
     nodes: int
     propagations: int
+    components: int = 0  # scope components ``decide`` found after propagation
 
 
 class _BudgetHit(Exception):
     pass
-
-
-def _ensure_recursion_headroom(n: int) -> None:
-    # search() recurses once per branch vertex
-    needed = 2 * n + 200
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
 
 
 _OK = -2
@@ -216,23 +223,77 @@ class _Search:
                     return False
         return self.flush(pending)
 
-    def search(self, lo: int, on_solution: Callable[[tuple[int, ...]], bool]) -> bool:
-        """DFS in index order, value 0 first.  True means stop requested."""
+    def components(self) -> list[tuple[list[int], bool]]:
+        """Unassigned vertices grouped by shared active scopes.
+
+        Each component is sorted and paired with whether flipping all its
+        labels is a symmetry: no scope touching it holds an assigned label.
+        Components come in order of their smallest vertex.  Unassigned
+        vertices in no active scope belong to none.
+        """
         label = self.label
-        n = self.n
-        while lo < n and label[lo] != -1:
-            lo += 1
-        if lo == n:
-            return on_solution(tuple(label))
-        for val in (0, 1):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _BudgetHit
-            mark = len(self.trail)
-            if self.assign(lo, val) and self.search(lo + 1, on_solution):
-                return True
-            self.undo_to(mark)
-        return False
+        owners = self.owners
+        scopes = self.scopes
+        left = self.left
+        vertex_seen = [False] * self.n
+        scope_seen = [False] * self.n
+        out = []
+        for root in range(self.n):
+            if vertex_seen[root] or label[root] != -1 or not owners[root]:
+                continue
+            vertex_seen[root] = True
+            comp = [root]
+            symmetric = True
+            for u in comp:  # grows while it is walked: a breadth-first search
+                for v in owners[u]:
+                    if scope_seen[v]:
+                        continue
+                    scope_seen[v] = True
+                    if left[v] != len(scopes[v]):
+                        symmetric = False
+                    for w in scopes[v]:
+                        if label[w] == -1 and not vertex_seen[w]:
+                            vertex_seen[w] = True
+                            comp.append(w)
+            comp.sort()
+            out.append((comp, symmetric))
+        return out
+
+    def search(self, order: Sequence[int], symmetric: bool = False) -> Iterator[None]:
+        """DFS over the ascending vertices ``order``, value 0 first.
+
+        Yields each time every vertex of ``order`` is labelled; the labels
+        are then in ``self.label``.  With ``symmetric`` the first vertex
+        takes only the value 0.  Raises _BudgetHit past the node budget.
+        """
+        label = self.label
+        trail = self.trail
+        k = len(order)
+        frames: list[list[int]] = []  # per branch vertex: [position, trail mark, next value, last value]
+        i = 0
+        while True:
+            while i < k and label[order[i]] != -1:
+                i += 1
+            if i == k:
+                yield
+            else:
+                frames.append([i, len(trail), 0, 0 if symmetric and not frames else 1])
+            while frames:
+                frame = frames[-1]
+                pos, mark, val, last = frame
+                self.undo_to(mark)
+                if val > last:
+                    frames.pop()
+                    continue
+                frame[2] = val + 1
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    raise _BudgetHit
+                if self.assign(order[pos], val):
+                    i = pos + 1
+                    break
+            else:
+                return
 
 
 def propagate(cs: ConstraintSystem, partial) -> PropagationResult:
@@ -263,31 +324,28 @@ def decide(
     node_budget: int = DEFAULT_NODE_BUDGET,
     fixed: Optional[Mapping[int, int]] = None,
 ) -> SolveOutcome:
-    """Complete search for a valid 2-partition; deterministic first witness.
+    """Complete search for a valid 2-partition; lexicographically first witness.
 
-    Returns status 'timeout' when the node budget is exhausted, never a
+    Scope components are searched one at a time against one shared node
+    budget.  Returns status 'timeout' when the budget is exhausted, never a
     wrong answer.
     """
     cs = ConstraintSystem.from_graph(g, mode, waived)
-    _ensure_recursion_headroom(g.n)
     eng = _Search(cs, node_budget)
     if not eng.initialize(fixed):
         return SolveOutcome("unsat", None, eng.nodes, eng.propagations)
-    found: list[tuple[int, ...]] = []
-
-    def on_solution(labels: tuple[int, ...]) -> bool:
-        found.append(labels)
-        return True
-
+    comps = eng.components()
     try:
-        eng.search(0, on_solution)
+        for order, symmetric in comps:
+            for _ in eng.search(order, symmetric):
+                break  # keep the component's first labeling
+            else:
+                return SolveOutcome("unsat", None, eng.nodes, eng.propagations, len(comps))
     except _BudgetHit:
-        return SolveOutcome("timeout", None, eng.nodes, eng.propagations)
-    if found:
-        witness = TwoPartition(found[0])
-        _assert_sound(g, witness, mode, cs.waived)
-        return SolveOutcome("sat", witness, eng.nodes, eng.propagations)
-    return SolveOutcome("unsat", None, eng.nodes, eng.propagations)
+        return SolveOutcome("timeout", None, eng.nodes, eng.propagations, len(comps))
+    witness = TwoPartition(tuple(0 if x == -1 else x for x in eng.label))
+    _assert_sound(g, witness, mode, cs.waived)
+    return SolveOutcome("sat", witness, eng.nodes, eng.propagations, len(comps))
 
 
 def enumerate_partitions(
@@ -302,18 +360,13 @@ def enumerate_partitions(
     Raises BudgetExceededError when the search would exceed the node budget.
     """
     cs = ConstraintSystem.from_graph(g, mode, waived)
-    _ensure_recursion_headroom(g.n)
     eng = _Search(cs, node_budget)
     out: list[TwoPartition] = []
     if not eng.initialize(fixed):
         return out
-
-    def on_solution(labels: tuple[int, ...]) -> bool:
-        out.append(TwoPartition(labels))
-        return False
-
     try:
-        eng.search(0, on_solution)
+        for _ in eng.search(range(cs.n)):
+            out.append(TwoPartition(tuple(eng.label)))
     except _BudgetHit:
         raise BudgetExceededError(
             f"enumeration exceeded node budget {node_budget}"
@@ -323,14 +376,18 @@ def enumerate_partitions(
     return out
 
 
-def brute_force(g: Graph, mode: str, cap: int = BRUTE_FORCE_CAP) -> SolveOutcome:
+def brute_force(
+    g: Graph, mode: str, cap: int = BRUTE_FORCE_CAP, waived: Iterable[int] = ()
+) -> SolveOutcome:
     """Oracle: evaluate every labeling directly (vectorized bit enumeration).
 
     Independent of the propagation search; agrees with ``decide`` on
     satisfiability.  Witness is the lexicographically first valid labeling.
+    Balances of ``waived`` vertices are not checked.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    wv = frozenset(waived)
     n = g.n
     if n > cap:
         raise ValueError(f"brute force capped at {cap} vertices, got {n}")
@@ -342,6 +399,7 @@ def brute_force(g: Graph, mode: str, cap: int = BRUTE_FORCE_CAP) -> SolveOutcome
             a[u, v] = 1.0
     if mode == "closed":
         a += np.eye(n, dtype=np.float32)
+    a = a[:, [v for v in range(n) if v not in wv]]
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     total = 1 << n
     chunk = 1 << 16
@@ -356,6 +414,6 @@ def brute_force(g: Graph, mode: str, cap: int = BRUTE_FORCE_CAP) -> SolveOutcome
             row = int(np.argmax(ok))
             labels = tuple(int(b) for b in bits[row])
             witness = TwoPartition(labels)
-            _assert_sound(g, witness, mode, frozenset())
+            _assert_sound(g, witness, mode, wv)
             return SolveOutcome("sat", witness, scanned, 0)
     return SolveOutcome("unsat", None, scanned, 0)

@@ -34,6 +34,20 @@ def subdivide(g: Graph) -> Graph:
     return Graph.from_edges(g.n + g.m, edges)
 
 
+def disjoint_union(parts: list[Graph], rng: random.Random | None = None) -> Graph:
+    """The parts side by side; with ``rng`` the vertex indices are shuffled,
+    so the parts interleave in index order."""
+    n = sum(g.n for g in parts)
+    perm = list(range(n))
+    if rng is not None:
+        rng.shuffle(perm)
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(perm[offset + u], perm[offset + v]) for u, v in g.edges()]
+        offset += g.n
+    return Graph.from_edges(n, edges)
+
+
 def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

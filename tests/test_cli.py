@@ -5,7 +5,8 @@ import pytest
 from helpers import CANONICAL_N3, complete, complete_bipartite, cycle, subdivide
 from lb2p import parse_graph, parse_partition, serialize_graph
 from lb2p.cli import main
-from lb2p.reductions import read_artifact
+from lb2p.nae import parse_nae
+from lb2p.reductions import read_artifact, reduce_open_biregular
 
 
 @pytest.fixture()
@@ -15,6 +16,8 @@ def files(tmp_path):
     paths["c4"].write_text(serialize_graph(cycle(4)))
     paths["c6"] = tmp_path / "c6.graph"
     paths["c6"].write_text(serialize_graph(cycle(6)))
+    paths["bireg"] = tmp_path / "bireg.graph"
+    paths["bireg"].write_text(serialize_graph(reduce_open_biregular(parse_nae(CANONICAL_N3)).graph))
     paths["k23"] = tmp_path / "k23.graph"
     paths["k23"].write_text(serialize_graph(complete_bipartite(2, 3)))
     paths["sk4"] = tmp_path / "sk4.graph"
@@ -62,9 +65,18 @@ def test_solve_brute_method(files, capsys):
 
 
 def test_solve_timeout_exit_code(files, capsys):
-    code = main(["solve", "--mode", "open", "--budget", "1", str(files["c6"])])
+    code = main(["solve", "--mode", "open", "--budget", "1", str(files["bireg"])])
     assert code == 3
     assert capsys.readouterr().out == "TIMEOUT\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", "ten"])
+def test_solve_nonpositive_budget_is_usage_error(files, capsys, budget):
+    code = main(["solve", "--mode", "open", "--budget", budget, str(files["c4"])])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget: must be a positive integer" in captured.err
 
 
 def test_biregular_sat(files, capsys):

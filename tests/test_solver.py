@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from helpers import cycle, erdos_renyi, path
+from helpers import CANONICAL_N3, cycle, disjoint_union, erdos_renyi, path
 from lb2p import (
     BudgetExceededError,
     ConstraintSystem,
@@ -14,6 +15,8 @@ from lb2p import (
     propagate,
 )
 from lb2p.gadgets import gadget_f2
+from lb2p.nae import parse_nae
+from lb2p.reductions import reduce_open_biregular
 
 
 def test_propagate_open_path_forces_far_end():
@@ -153,7 +156,8 @@ def test_witness_respects_waived_only():
 
 
 def test_timeout_outcome():
-    out = decide(cycle(6), "open", node_budget=1)
+    art = reduce_open_biregular(parse_nae(CANONICAL_N3))
+    out = decide(art.graph, "open", node_budget=1)
     assert out.status == "timeout"
     assert out.witness is None
 
@@ -180,3 +184,56 @@ def test_empty_graph_is_sat():
     for mode in ("open", "closed"):
         assert decide(g, mode).status == "sat"
         assert brute_force(g, mode).status == "sat"
+
+
+def test_split_witness_is_lexicographically_first():
+    # interleaved disjoint unions: the per-component first labelings must
+    # combine into the first labeling of the whole graph
+    rng = random.Random(2000)
+    sat = 0
+    for _ in range(150):
+        parts = [erdos_renyi(rng.randint(1, 4), rng.choice([0.3, 0.5, 0.8]), rng)
+                 for _ in range(rng.randint(2, 3))]
+        g = disjoint_union(parts, rng)
+        for mode in ("open", "closed"):
+            for waived in (set(), {v for v in range(g.n) if rng.random() < 0.3}):
+                fast = decide(g, mode, waived=waived)
+                slow = brute_force(g, mode, waived=waived)
+                assert fast.status == slow.status
+                assert fast.witness == slow.witness
+                sat += fast.status == "sat"
+    assert sat >= 150
+
+
+def test_split_refutes_c4s_then_c6():
+    g = disjoint_union([cycle(4)] * 12 + [cycle(6)])
+    assert g.n == 54
+    out = decide(g, "open", node_budget=1000)
+    assert out.status == "unsat"
+    assert out.components == 26
+    assert brute_force(cycle(4), "open").components == 0
+
+
+def test_split_with_fixed_labels_matches_unsplit_enumeration():
+    # a fixed label next to a component rules out its complement symmetry
+    rng = random.Random(77)
+    for _ in range(100):
+        g = disjoint_union([erdos_renyi(rng.randint(1, 5), 0.5, rng) for _ in range(2)], rng)
+        fixed = {v: rng.randint(0, 1) for v in rng.sample(range(g.n), min(g.n, 2))}
+        for mode in ("open", "closed"):
+            sols = enumerate_partitions(g, mode, fixed=fixed)
+            out = decide(g, mode, fixed=fixed)
+            assert out.witness == (sols[0] if sols else None)
+
+
+def test_search_is_iterative_on_long_cycle():
+    limit = sys.getrecursionlimit()
+    g = cycle(20000)
+    for mode in ("open", "closed"):
+        assert decide(g, mode).status == "sat"
+    assert len(enumerate_partitions(g, "open")) == 4
+    with pytest.raises(BudgetExceededError):
+        # closed mode branches on about two of every three vertices, so this
+        # descends thousands of levels before the budget runs out
+        enumerate_partitions(g, "closed", node_budget=5000)
+    assert sys.getrecursionlimit() == limit
