@@ -9,14 +9,22 @@ multigraph cycle lifts to a simple cycle of length ≡ 2 (mod 4), a
 certificate that no valid partition exists.  Cycles of the original graph
 alternate sides, so their length is twice the number of high-side vertices
 they visit: length ≡ 2 (mod 4) exactly when that count is odd.
+
+Every step is linear in the size of the graph.  The factor (Petersen's
+Euler-circuit argument) joins a hub to every vertex of the (2k+1)-regular
+contraction, walks an Euler circuit from the hub and keeps alternate edges;
+each vertex is passed through k+1 times, so it keeps k or k+1 real edges.
+``kk1_factor`` also serves every other k < r by folding k perfect matchings
+of the bipartite double cover into kept and half edges and rounding the
+half edges the same way.  No step recurses.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import chain
+from typing import Optional, Sequence, Union
 
 from .balance import TwoPartition, check
 from .graphs import Bipartition, Graph, MultiGraph, bfs_distances, connected_components
@@ -100,40 +108,49 @@ def validate_2odd_biregular(
     b = high[0]
     if b % 2 == 0 or b < 3:
         return NotApplicable(f"high-side degree {b} is not 2k+1 with k >= 1")
-    xs = frozenset(v for v in range(g.n) if degs[v] == 2)
+    xs = [v for v in range(g.n) if degs[v] == 2]
     if not xs:
         return NotApplicable("no degree-2 side")
-    for u, v in g.edges():
-        if (u in xs) == (v in xs):
-            return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
-    ys = frozenset(v for v in range(g.n) if degs[v] == b)
-    return Bipartition(xs, ys), (b - 1) // 2
+    ys = [v for v in range(g.n) if degs[v] == b]
+    # No edge lies inside X iff every neighbor of X has degree b.  Then the
+    # 2|X| edges leaving X fill all b|Y| edge ends on Y iff none lies inside Y.
+    x_neighbors = chain.from_iterable(map(g.adj.__getitem__, xs))
+    if b * len(ys) != 2 * len(xs) or set(map(degs.__getitem__, x_neighbors)) != {b}:
+        u, v = next((u, v) for u, v in g.edges() if (degs[u] == 2) == (degs[v] == 2))
+        return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
+    return Bipartition(frozenset(xs), frozenset(ys)), (b - 1) // 2
 
 
 def build_reduced(g: Graph, bip: Bipartition, k: int) -> ReducedMultigraph:
     """Contract each degree-2 vertex into an edge between its two neighbors."""
     ys = sorted(bip.side_y)
-    local = {y: i for i, y in enumerate(ys)}
-    edges = []
-    provenance = []
-    for x in sorted(bip.side_x):
-        u, v = g.adj[x]
-        edges.append((local[u], local[v]))
-        provenance.append(x)
-    mg = MultiGraph(len(ys), tuple(edges))
+    local = [0] * g.n
+    for i, y in enumerate(ys):
+        local[y] = i
+    provenance = tuple(sorted(bip.side_x))
+    ends = list(map(local.__getitem__, chain.from_iterable(map(g.adj.__getitem__, provenance))))
+    mg = MultiGraph(len(ys), tuple(zip(ends[::2], ends[1::2])))
     r = 2 * k + 1
     assert all(d == r for d in mg.degrees()), "reduced multigraph is not regular"
-    return ReducedMultigraph(mg, tuple(ys), tuple(provenance), k)
+    return ReducedMultigraph(mg, tuple(ys), provenance, k)
 
 
 def kk1_factor(m: MultiGraph, k: int) -> FactorResult:
     """A spanning subgraph with every degree in [k, k+1] of an r-regular
-    multigraph (1 <= k < r); existence is guaranteed, search is exact.
+    multigraph (1 <= k < r), which always exists.
 
-    Edges are scanned in index order, exclusion tried first; per-vertex
-    bounds (chosen <= k+1, chosen + undecided >= k) prune the search.
+    For r in {2k, 2k+1}, the only case ``solve_biregular`` needs, every edge
+    is a half edge: a hub is joined to each odd-degree vertex, Euler
+    circuits are walked from the hub and alternate edges are kept
+    (``_round_half_edges``), in time linear in the size of m.  For any other
+    k, k disjoint perfect matchings of the bipartite double cover (vertices
+    v+ and v-; an edge uv becomes u+v- and v+u-) give each vertex 2k edge
+    copies.  Folded back, an edge with both copies matched is kept outright
+    and one with a single copy is a half edge.  A vertex with h half edges
+    then has k - h/2 kept ones and h is even, so the same rounding lands it
+    in [k, k+1].  The matchings come from augmenting paths, in O(k·n·m).
     """
-    degs = list(m.degrees())
+    degs = m.degrees()
     if m.n == 0:
         raise ValueError("empty multigraph is not r-regular with r > k >= 1")
     r = degs[0]
@@ -142,51 +159,113 @@ def kk1_factor(m: MultiGraph, k: int) -> FactorResult:
     if not 1 <= k < r:
         raise ValueError(f"need 1 <= k < r, got k={k}, r={r}")
 
-    edges = m.edges
-    n_edges = len(edges)
-    if sys.getrecursionlimit() < 2 * n_edges + 200:  # bt() recurses per edge
-        sys.setrecursionlimit(2 * n_edges + 200)
-    deg_in = [0] * m.n
-    undecided = list(degs)
-    chosen: list[int] = []
-
-    def bt(i: int) -> bool:
-        if i == n_edges:
-            return True
-        u, v = edges[i]
-        undecided[u] -= 1
-        undecided[v] -= 1
-        if (
-            deg_in[u] + undecided[u] >= k
-            and deg_in[v] + undecided[v] >= k
-            and bt(i + 1)
-        ):
-            return True
-        result = False
-        if deg_in[u] < k + 1 and deg_in[v] < k + 1:
-            deg_in[u] += 1
-            deg_in[v] += 1
-            chosen.append(i)
-            if bt(i + 1):
-                result = True
-            else:
-                chosen.pop()
-                deg_in[u] -= 1
-                deg_in[v] -= 1
-        undecided[u] += 1
-        undecided[v] += 1
-        return result
-
-    if not bt(0):
-        raise RuntimeError("no [k,k+1]-factor found; input violated the precondition")
-    picked = frozenset(chosen)
+    if r in (2 * k, 2 * k + 1):
+        full: list[int] = []
+        half: Sequence[int] = range(len(m.edges))
+    else:
+        copies = _double_cover_copies(m, k)
+        full = [e for e, c in enumerate(copies) if c == 2]
+        half = [e for e, c in enumerate(copies) if c == 1]
+    picked = frozenset(_round_half_edges(m, full, half))
     final = [0] * m.n
     for i in picked:
-        u, v = edges[i]
+        u, v = m.edges[i]
         final[u] += 1
         final[v] += 1
     assert all(k <= d <= k + 1 for d in final)
     return FactorResult(picked, tuple(final))
+
+
+def _round_half_edges(m: MultiGraph, full: Sequence[int], half: Sequence[int]) -> list[int]:
+    """The ``full`` edges plus every other ``half`` edge along Euler circuits.
+
+    A hub (vertex m.n) is joined to every vertex of odd half-degree, so all
+    degrees become even.  Hierholzer's walk covers each component in one
+    circuit; alternate edges are kept.  Each pass through a vertex enters
+    on one colour and leaves on the other, so a vertex of half-degree h
+    that the walk only passes through keeps h/2 half edges, or (h-1)/2 or
+    (h+1)/2 once its hub edge is dropped.  Circuits through the hub start
+    there.  A circuit without the hub keeps the colour of its first edge,
+    so its start vertex keeps h/2 or, on an odd circuit, h/2 + 1.  Linear
+    time and memory.
+    """
+    hub = m.n
+    ends = [m.edges[e] for e in half]
+    half_deg = [0] * m.n
+    for u, v in ends:
+        half_deg[u] += 1
+        half_deg[v] += 1
+    ends += [(hub, v) for v in range(m.n) if half_deg[v] % 2]
+    incident: list[list[int]] = [[] for _ in range(hub + 1)]
+    for i, (u, v) in enumerate(ends):
+        incident[u].append(i)
+        incident[v].append(i)
+    other = [u ^ v for u, v in ends]  # the far end of edge e from v is v ^ other[e]
+    used = bytearray(len(ends))
+    kept = list(full)
+    for start in chain((hub,), range(m.n)):
+        walk, arrivals = [start], [-1]  # the open walk and the edge into each vertex
+        circuit = []  # edges in the order Hierholzer closes them
+        while walk:
+            v = walk[-1]
+            inc = incident[v]
+            while inc and used[inc[-1]]:
+                inc.pop()
+            if inc:
+                e = inc.pop()
+                used[e] = 1
+                walk.append(v ^ other[e])
+                arrivals.append(e)
+            else:
+                walk.pop()
+                circuit.append(arrivals.pop())
+        circuit.pop()  # the -1 of the start vertex
+        kept.extend(half[e] for e in circuit[::2] if e < len(half))
+    return kept
+
+
+def _double_cover_copies(m: MultiGraph, k: int) -> list[int]:
+    """For each edge, how many of its two copies lie in k disjoint perfect
+    matchings of the bipartite double cover (augmenting paths, iterative).
+
+    Arc 2e joins u+ to v- and arc 2e+1 joins v+ to u-, for edge e = (u, v).
+    The double cover of an r-regular multigraph is r-regular and bipartite,
+    so after any j < r disjoint perfect matchings another one exists.
+    """
+    tail = [x for uv in m.edges for x in uv]  # the + end of each arc
+    head = [x for u, v in m.edges for x in (v, u)]  # the - end
+    out: list[list[int]] = [[] for _ in range(m.n)]
+    for a, x in enumerate(tail):
+        out[x].append(a)
+    used = [False] * len(tail)
+    for _ in range(k):
+        match = [-1] * m.n  # arc matched into each - vertex
+        for root in range(m.n):
+            seen = [False] * m.n
+            stack = [iter(out[root])]
+            path: list[int] = []  # path[i] leaves the vertex of stack[i]
+            while stack:
+                for a in stack[-1]:
+                    w = head[a]
+                    if used[a] or seen[w]:
+                        continue
+                    seen[w] = True
+                    path.append(a)
+                    if match[w] < 0:
+                        for b in path:
+                            match[head[b]] = b
+                        stack = []
+                    else:
+                        stack.append(iter(out[tail[match[w]]]))
+                    break
+                else:
+                    stack.pop()
+                    if path:
+                        path.pop()
+            assert path, "double cover has no perfect matching"
+        for a in match:
+            used[a] = True
+    return [used[2 * e] + used[2 * e + 1] for e in range(len(m.edges))]
 
 
 def _multigraph_odd_cycle(
@@ -297,18 +376,28 @@ def _lift_walk(red: ReducedMultigraph, verts: list[int], edges: list[int]) -> li
     return walk
 
 
+def _contract(
+    g: Graph,
+) -> Union[tuple[Bipartition, ReducedMultigraph, Optional[tuple[list[int], list[int]]]], NotApplicable]:
+    """Validate, contract, and look for an odd cycle of the contraction."""
+    va = validate_2odd_biregular(g)
+    if isinstance(va, NotApplicable):
+        return va
+    bip, k = va
+    red = build_reduced(g, bip, k)
+    return bip, red, _multigraph_odd_cycle(red.graph)
+
+
 def has_bad_cycle(g: Graph) -> bool:
     """True iff the validated graph has a cycle of length ≡ 2 (mod 4).
 
     Equivalent to the reduced multigraph having an odd cycle; this
     equivalence depends on the degree-2 side and holds only for this class.
     """
-    va = validate_2odd_biregular(g)
-    if isinstance(va, NotApplicable):
-        raise ValueError(f"not applicable: {va.reason}")
-    bip, k = va
-    red = build_reduced(g, bip, k)
-    return _multigraph_odd_cycle(red.graph) is not None
+    contracted = _contract(g)
+    if isinstance(contracted, NotApplicable):
+        raise ValueError(f"not applicable: {contracted.reason}")
+    return contracted[2] is not None
 
 
 def solve_biregular(g: Graph) -> Union[Witness, Certificate, NotApplicable]:
@@ -317,20 +406,17 @@ def solve_biregular(g: Graph) -> Union[Witness, Certificate, NotApplicable]:
     Exactly one of the two is returned on validated inputs; the witness is
     asserted against the open-mode checker before being released.
     """
-    va = validate_2odd_biregular(g)
-    if isinstance(va, NotApplicable):
-        return va
-    bip, k = va
-    red = build_reduced(g, bip, k)
-
-    odd = _multigraph_odd_cycle(red.graph)
+    contracted = _contract(g)
+    if isinstance(contracted, NotApplicable):
+        return contracted
+    bip, red, odd = contracted
     if odd is not None:
         verts, edges = odd
         walk = _lift_walk(red, verts, edges)
         cycle = extract_cycle_2mod4(walk)
         return Certificate(_check_certificate(g, cycle))
 
-    factor = kk1_factor(red.graph, k)
+    factor = kk1_factor(red.graph, red.k)
     labels = [0] * g.n
     for eid, x in enumerate(red.x_of_edge):
         labels[x] = 1 if eid in factor.edges else 0

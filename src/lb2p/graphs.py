@@ -4,15 +4,24 @@ Vertices are dense 0-based indices.  ``Graph`` is simple and undirected with
 sorted adjacency lists; ``MultiGraph`` keeps a raw edge list and allows
 parallel edges but never self-loops.  Both are immutable after construction,
 so instances can be shared freely across threads.
+
+Edges are validated once: ``parse_graph`` only tokenises the document, and
+one numpy pass over the endpoints (shared with ``Graph.from_edges``) checks
+range, loops and repeats and builds the sorted adjacency.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "MultiGraph",
     "Bipartition",
@@ -51,6 +60,66 @@ class DuplicateAttachmentError(ValueError):
     """An attachment edge is repeated."""
 
 
+# Vertex counts up to this keep the edge keys u*n+v below 2**63.
+MAX_VERTICES = math.isqrt(2**63 - 1)
+
+
+class _EdgeError(Exception):
+    """Edge ``index`` (in input order) is out of ``range``, a ``loop`` or a ``duplicate``."""
+
+    def __init__(self, index: int, kind: str):
+        super().__init__(index, kind)
+        self.index = index
+        self.kind = kind
+
+
+def _describe(kind: str, u: int, v: int) -> str:
+    if kind == "loop":
+        return f"self-loop at vertex {u}"
+    if kind == "duplicate":
+        return f"duplicate edge ({min(u, v)},{max(u, v)})"
+    return f"vertex out of range in edge ({u},{v})"
+
+
+def _int64_ends(flat: Sequence[int]) -> np.ndarray:
+    """The endpoints as (m, 2) int64 pairs.  An endpoint beyond int64, out of
+    range for any allowed n, becomes -1."""
+    try:
+        return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        flat = [x if -(2**63) <= x < 2**63 else -1 for x in flat]
+        return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+
+
+def _adjacency(n: int, ends: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency of the edges ``ends`` (int64 pairs) on 0..n-1, for
+    0 <= n <= MAX_VERTICES.
+
+    Raises ``_EdgeError`` for the first edge, in input order, that leaves
+    0..n-1, is a self-loop or repeats an earlier edge.
+    """
+    stop, kind = len(ends), None
+    # Each check looks only at the edges before the first failure so far.
+    if stop and (ends.min() < 0 or ends.max() >= n):
+        stop, kind = int(((ends < 0) | (ends >= n)).any(axis=1).argmax()), "range"
+    u, v = ends[:stop, 0], ends[:stop, 1]
+    arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
+    if len(arcs) > 1 and np.diff(arcs).min() == 0:  # a loop or a repeated edge repeats an arc
+        loops = u == v
+        if loops.any():
+            stop, kind = int(loops.argmax()), "loop"
+        keys = (np.minimum(u, v) * n + np.maximum(u, v))[:stop]
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if len(repeats):
+            stop, kind = int(repeats.min()), "duplicate"
+    if kind is not None:
+        raise _EdgeError(stop, kind)
+    targets = tuple((arcs % n).tolist()) if n else ()
+    bounds = np.cumsum(np.bincount(ends.ravel(), minlength=n)).tolist()
+    return tuple([targets[a:b] for a, b in zip([0] + bounds[:-1], bounds)])
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with sorted adjacency."""
@@ -62,20 +131,18 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        lists: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-            lists[u].append(v)
-            lists[v].append(u)
-        return cls(n, tuple(tuple(sorted(a)) for a in lists))
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
+        pairs = list(edges)
+        if pairs and set(map(len, pairs)) != {2}:
+            raise ValueError("every edge must be a pair (u, v)")
+        try:
+            return cls(n, _adjacency(n, _int64_ends(list(chain.from_iterable(pairs)))))
+        except _EdgeError as exc:
+            u, v = pairs[exc.index]
+            if exc.kind == "range":
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}") from None
+            raise ValueError(_describe(exc.kind, u, v)) from None
 
     @property
     def m(self) -> int:
@@ -142,13 +209,31 @@ class ClassReport:
     biregular: Optional[tuple[int, int]]
 
 
+def _plain_lines(text: str) -> Optional[list[str]]:
+    """The lines of a document whose every line, the header included, is two
+    tokens joined by one space and ends in a newline; None for any other
+    document.  Such a document has no blank or malformed line, so its tokens
+    map to lines directly."""
+    if not text.endswith("\n") or not text.isascii():
+        return None
+    # no ASCII whitespace or line boundary but the space and the newline
+    if any(c in text for c in "\t\r\x0b\x0c\x1c\x1d\x1e\x1f") or " \n" in text or "\n " in text:
+        return None
+    lines = text[:-1].split("\n")
+    if set(map(str.count, lines, repeat(" "))) != {1} or text.startswith(" "):
+        return None
+    return lines
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: header line ``n m`` then m lines ``u v``.
 
     Rejects malformed lines, out-of-range indices, loops, and duplicate
-    edges, each reported with its line number.
+    edges, each reported with its line number; the first offending line in
+    the document is the one reported.
     """
-    lines = text.splitlines()
+    plain = _plain_lines(text)
+    lines = text.splitlines() if plain is None else plain
     if not lines:
         raise GraphFormatError("header", "empty document", 1)
     head = lines[0].split()
@@ -160,35 +245,51 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("header", "expected two integers in header", 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("header", "negative counts in header", 1)
+    if n > MAX_VERTICES:
+        raise GraphFormatError("header", f"vertex count {n} exceeds {MAX_VERTICES}", 1)
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphFormatError("malformed", f"expected 'u v', got {raw!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("malformed", f"non-integer endpoint in {raw!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError("range", f"vertex out of range in edge ({u},{v})", lineno)
-        if u == v:
-            raise GraphFormatError("loop", f"self-loop at vertex {u}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError("duplicate", f"duplicate edge ({key[0]},{key[1]})", lineno)
-        seen.add(key)
-        edges.append((u, v))
-    if len(edges) != m:
+    pending: Optional[GraphFormatError] = None  # a line error after the edges read
+    edge_line: Sequence[int]
+    if plain is not None:
+        tokens = text.split()[2:]
+        edge_line = range(2, len(lines) + 1)
+    else:
+        rows = list(map(str.split, lines[1:]))
+        widths = list(map(len, rows))
+        if not set(widths) <= {0, 2}:
+            stop = next(i for i, w in enumerate(widths) if w not in (0, 2))
+            pending = GraphFormatError("malformed", f"expected 'u v', got {lines[stop + 1]!r}", stop + 2)
+            rows = rows[:stop]
+        edge_line = [i + 2 for i, row in enumerate(rows) if row]
+        tokens = list(chain.from_iterable(rows))
+    flat: Sequence[int]
+    try:
+        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)  # int() of each token
+        flat = ends.ravel()
+    except (ValueError, OverflowError):
+        flat = []
+        for token in tokens:
+            try:
+                flat.append(int(token))
+            except ValueError:
+                bad = len(flat) // 2
+                del flat[2 * bad :]
+                raw = lines[edge_line[bad] - 1]
+                pending = GraphFormatError("malformed", f"non-integer endpoint in {raw!r}", edge_line[bad])
+                break
+        ends = _int64_ends(flat)
+    try:
+        adj = _adjacency(n, ends)
+    except _EdgeError as exc:
+        u, v = flat[2 * exc.index], flat[2 * exc.index + 1]
+        raise GraphFormatError(exc.kind, _describe(exc.kind, u, v), edge_line[exc.index]) from None
+    if pending is not None:
+        raise pending
+    if len(flat) // 2 != m:
         raise GraphFormatError(
-            "truncated", f"header promises {m} edges, found {len(edges)}", lineno
+            "truncated", f"header promises {m} edges, found {len(flat) // 2}", len(lines)
         )
-    return Graph.from_edges(n, edges)
+    return Graph(n, adj)
 
 
 def serialize_graph(g: Graph) -> str:

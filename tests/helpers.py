@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from lb2p import Graph, MultiGraph
+from lb2p import Graph, GraphFormatError, MultiGraph
 from lb2p.nae import NaeInstance
 
 
@@ -75,6 +75,82 @@ def random_biregular(m: int, b: int, rng: random.Random) -> Graph:
         x = m + i
         edges += [(u, x), (v, x)]
     return Graph.from_edges(m + len(mg.edges), edges)
+
+
+def cycle_union_multigraph(n: int, r: int, rng: random.Random) -> MultiGraph:
+    """A loop-free r-regular multigraph on n >= 2 vertices without rejection
+    sampling: r//2 random Hamiltonian cycles, plus a random perfect
+    matching when r is odd (then n must be even).  Odd n gives odd cycles."""
+    if r % 2 and n % 2:
+        raise ValueError("odd r needs even n")
+    edges = []
+    for _ in range(r // 2):
+        order = rng.sample(range(n), n)
+        edges += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    if r % 2:
+        order = rng.sample(range(n), n)
+        edges += [(order[i], order[i + 1]) for i in range(0, n, 2)]
+    return MultiGraph(n, tuple(edges))
+
+
+def bipartite_witness_graph(half: int, b: int, rng: random.Random) -> Graph:
+    """A (2,b)-biregular graph whose contraction is a random bipartite
+    b-regular multigraph on 2*half high-side vertices, so it has a witness."""
+    left = [v for v in range(half) for _ in range(b)]
+    right = [half + v for v in range(half) for _ in range(b)]
+    rng.shuffle(right)
+    edges = []
+    for i, (u, v) in enumerate(zip(left, right)):
+        x = 2 * half + i
+        edges += [(u, x), (v, x)]
+    return Graph.from_edges(2 * half + len(right), edges)
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """The line-by-line edge-list parser, kept as an oracle for
+    ``parse_graph``: same graph, or the same error kind, line and message."""
+    lines = text.splitlines()
+    if not lines:
+        raise GraphFormatError("header", "empty document", 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphFormatError("header", "expected header 'n m'", 1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphFormatError("header", "expected two integers in header", 1) from None
+    if n < 0 or m < 0:
+        raise GraphFormatError("header", "negative counts in header", 1)
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    lineno = 1
+    for raw in lines[1:]:
+        lineno += 1
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise GraphFormatError("malformed", f"expected 'u v', got {raw!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError("malformed", f"non-integer endpoint in {raw!r}", lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError("range", f"vertex out of range in edge ({u},{v})", lineno)
+        if u == v:
+            raise GraphFormatError("loop", f"self-loop at vertex {u}", lineno)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError("duplicate", f"duplicate edge ({key[0]},{key[1]})", lineno)
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    if len(seen) != m:
+        raise GraphFormatError(
+            "truncated", f"header promises {m} edges, found {len(seen)}", lineno
+        )
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj))
 
 
 def random_nae_instance(n: int, rng: random.Random, tries: int = 20000) -> NaeInstance:

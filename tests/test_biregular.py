@@ -1,12 +1,15 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from helpers import (
+    bipartite_witness_graph,
     complete,
     complete_bipartite,
     cycle,
+    cycle_union_multigraph,
     random_biregular,
     random_regular_multigraph,
     subdivide,
@@ -57,6 +60,21 @@ def test_validate_rejects_degree2_adjacency():
     # path of degree-2 and degree-3 vertices mixing inside a class
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert isinstance(validate_2odd_biregular(g), NotApplicable)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # an edge inside the degree-3 side only: the edge-end count fails
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+        # one edge inside each side: the counts balance, the neighbor test fails
+        [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3)],
+    ],
+)
+def test_validate_rejects_edges_inside_a_class(edges):
+    g = Graph.from_edges(max(max(e) for e in edges) + 1, edges)
+    res = validate_2odd_biregular(g)
+    assert res == NotApplicable("edge (0,1) stays inside one degree class")
 
 
 def test_build_reduced_k23():
@@ -149,6 +167,44 @@ def test_kk1_against_subset_oracle_small():
         res = kk1_factor(m, k)
         assert _factor_ok(m, k, res)
         assert _exhaustive_factor_exists(m, k)
+
+
+def _sample_regular(n, r, rng):
+    # the configuration model rarely avoids loops at large r*n
+    if r <= 4 and n <= 20:
+        return random_regular_multigraph(n, r, rng)
+    return cycle_union_multigraph(n, r, rng)
+
+
+def test_kk1_every_k_on_random_regular_multigraphs():
+    rng = random.Random(8128)
+    odd_edge_counts = disconnected = 0
+    for _ in range(2000):
+        r = rng.randint(2, 9)
+        sizes = [rng.randint(2, 19)]
+        if rng.random() < 0.3:
+            sizes.append(rng.randint(2, 19))
+        sizes = [s + (s * r) % 2 for s in sizes]  # odd r needs an even size
+        edges, offset = [], 0
+        for size in sizes:
+            edges += [(u + offset, v + offset) for u, v in _sample_regular(size, r, rng).edges]
+            offset += size
+        m = MultiGraph(offset, tuple(edges))
+        odd_edge_counts += len(edges) % 2
+        disconnected += len(sizes) > 1
+        for k in range(1, r):
+            assert _factor_ok(m, k, kk1_factor(m, k)), (r, k, m)
+    assert odd_edge_counts and disconnected
+
+
+@pytest.mark.parametrize("half,b", [(100, 3), (1000, 3), (100, 9), (1000, 9)])
+def test_solve_large_witnesses(half, b):
+    limit = sys.getrecursionlimit()
+    g = bipartite_witness_graph(half, b, random.Random(half * b))
+    res = solve_biregular(g)
+    assert isinstance(res, Witness)
+    assert not check(g, res.partition, "open")
+    assert sys.getrecursionlimit() == limit
 
 
 def test_solve_k23_witness_matches_example():

@@ -174,6 +174,15 @@ def test_format_error_exit_2(files, capsys):
     assert "format error" in capsys.readouterr().err
 
 
+def test_huge_endpoint_is_format_error(files, capsys):
+    huge = files["tmp"] / "huge.graph"
+    huge.write_text(f"3 2\n0 1\n2 {10**30}\n")
+    assert main(["biregular", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error: line 3: vertex out of range")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_2(files, capsys):
     assert main(["solve", "--mode", "open", str(files["tmp"] / "nope.graph")]) == 2
 

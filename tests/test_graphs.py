@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_bipartite, cycle, erdos_renyi, path
+from helpers import complete_bipartite, cycle, erdos_renyi, path, reference_parse_graph
 from lb2p import (
     Graph,
     GraphFormatError,
@@ -16,7 +16,7 @@ from lb2p import (
     serialize_graph,
 )
 from lb2p.gadgets import gadget_f2
-from lb2p.graphs import DuplicateAttachmentError, NonInputAttachmentError
+from lb2p.graphs import MAX_VERTICES, DuplicateAttachmentError, NonInputAttachmentError
 
 
 def test_parse_k2():
@@ -53,6 +53,83 @@ def test_parse_errors(text, kind, line):
         parse_graph(text)
     assert exc.value.kind == kind
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,kind,line",
+    [
+        ("3 3\n0 1\n0 5\n1 0\n", "range", 3),  # before the later repeat
+        ("3 3\n0 1\n1 0\n2 9\n", "duplicate", 3),  # before the later range error
+        ("3 3\n0 1\n2 2\n0 x\n", "loop", 3),  # before the later bad token
+        ("3 3\n0 1\n0 x\n2 2\n", "malformed", 3),
+        ("3 3\n1 0\n\n0 1\n0 1 2\n", "duplicate", 4),  # the blank line counts
+        (f"2 1\n0 {10**30}\n", "range", 2),
+        (f"2 2\n0 1\n\t{-10**30} 1\n", "range", 3),
+        (f"{MAX_VERTICES + 1} 0\n", "header", 1),
+    ],
+)
+def test_parse_reports_first_offending_line(text, kind, line):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert (exc.value.kind, exc.value.line) == (kind, line)
+
+
+_TOKEN = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.sampled_from(["+1", "-2", "007", str(10**30), str(-(10**30)), "1.5", "x", "1e3"]),
+)
+_LINE = st.one_of(
+    st.tuples(_TOKEN, st.sampled_from([" ", "\t", "  ", " \t "]), _TOKEN).map("".join),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.sampled_from(["", "  ", "\t", "0 1 2", "3", " 0 1", "1 0 "]),
+)
+
+
+@st.composite
+def _edge_documents(draw):
+    """Headers and lines of every kind, with LF or CRLF endings, and plain
+    documents of 'u v' lines, which skip the per-line tokenising."""
+    n = draw(st.one_of(st.integers(0, 6), st.integers(4, 6)))
+    if draw(st.booleans()):
+        ends = st.one_of(st.integers(0, 4), st.sampled_from([6, 10**30]))
+        pairs = st.one_of(st.sampled_from([(0, 1), (1, 0), (1, 2), (3, 2), (0, 3)]), st.tuples(ends, ends))
+        lines = [f"{u} {v}" for u, v in draw(st.lists(pairs, max_size=8))]
+        eols = ["\n"] * (len(lines) + 1)
+    else:
+        lines = draw(st.lists(_LINE, max_size=8))
+        eols = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    m = draw(st.one_of(st.just(sum(1 for ln in lines if ln.strip())), st.integers(0, 6)))
+    last = draw(st.booleans())
+    text = f"{n} {m}" + "".join(e + ln for e, ln in zip(eols, lines))
+    return text + eols[-1] if last else text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return exc.kind, exc.line, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_documents())
+def test_parse_matches_line_by_line_reference(text):
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(reference_parse_graph, text)
+
+
+def test_from_edges_reports_first_bad_edge():
+    with pytest.raises(ValueError, match=r"duplicate edge \(0,1\)"):
+        Graph.from_edges(3, [(0, 1), (1, 0), (5, 0)])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph.from_edges(3, [(0, 1), (2, 2), (0, 1)])
+    with pytest.raises(ValueError, match=r"edge \(0,\d+\) out of range for n=3"):
+        Graph.from_edges(3, [(0, 1), (0, 10**30), (1, 1)])
+    with pytest.raises(ValueError, match="exceeds"):
+        Graph.from_edges(MAX_VERTICES + 1, [])
+    with pytest.raises(ValueError, match="pair"):
+        Graph.from_edges(3, [(0, 1, 2)])
+    assert Graph.from_edges(0, []).adj == ()
+    assert Graph.from_edges(3, iter([(2, 0), (1, 0)])).adj == ((1, 2), (0,), (0,))
 
 
 @settings(max_examples=40, deadline=None)
