@@ -10,10 +10,11 @@ certificate that no valid partition exists.  Cycles of the original graph
 alternate sides, so their length is twice the number of high-side vertices
 they visit: length ≡ 2 (mod 4) exactly when that count is odd.
 
-Every step is linear in the size of the graph.  The factor (Petersen's
-Euler-circuit argument) joins a hub to every vertex of the (2k+1)-regular
-contraction, walks an Euler circuit from the hub and keeps alternate edges;
-each vertex is passed through k+1 times, so it keeps k or k+1 real edges.
+Every step of ``solve_biregular`` is linear in the size of the graph;
+loading the graph (``parse_graph``) adds one O(m log m) numpy sort.  The
+factor (Petersen's Euler-circuit argument) joins a hub to every vertex of
+the (2k+1)-regular contraction, walks an Euler circuit from the hub and
+keeps alternate edges; each vertex is passed through k+1 times, so it keeps k or k+1 real edges.
 ``kk1_factor`` also serves every other k < r by folding k perfect matchings
 of the bipartite double cover into kept and half edges and rounding the
 half edges the same way.  No step recurses.

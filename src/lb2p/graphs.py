@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -209,22 +209,6 @@ class ClassReport:
     biregular: Optional[tuple[int, int]]
 
 
-def _plain_lines(text: str) -> Optional[list[str]]:
-    """The lines of a document whose every line, the header included, is two
-    tokens joined by one space and ends in a newline; None for any other
-    document.  Such a document has no blank or malformed line, so its tokens
-    map to lines directly."""
-    if not text.endswith("\n") or not text.isascii():
-        return None
-    # no ASCII whitespace or line boundary but the space and the newline
-    if any(c in text for c in "\t\r\x0b\x0c\x1c\x1d\x1e\x1f") or " \n" in text or "\n " in text:
-        return None
-    lines = text[:-1].split("\n")
-    if set(map(str.count, lines, repeat(" "))) != {1} or text.startswith(" "):
-        return None
-    return lines
-
-
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: header line ``n m`` then m lines ``u v``.
 
@@ -232,8 +216,7 @@ def parse_graph(text: str) -> Graph:
     edges, each reported with its line number; the first offending line in
     the document is the one reported.
     """
-    plain = _plain_lines(text)
-    lines = text.splitlines() if plain is None else plain
+    lines = text.splitlines()
     if not lines:
         raise GraphFormatError("header", "empty document", 1)
     head = lines[0].split()
@@ -249,19 +232,17 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("header", f"vertex count {n} exceeds {MAX_VERTICES}", 1)
 
     pending: Optional[GraphFormatError] = None  # a line error after the edges read
-    edge_line: Sequence[int]
-    if plain is not None:
-        tokens = text.split()[2:]
-        edge_line = range(2, len(lines) + 1)
-    else:
-        rows = list(map(str.split, lines[1:]))
-        widths = list(map(len, rows))
-        if not set(widths) <= {0, 2}:
-            stop = next(i for i, w in enumerate(widths) if w not in (0, 2))
-            pending = GraphFormatError("malformed", f"expected 'u v', got {lines[stop + 1]!r}", stop + 2)
-            rows = rows[:stop]
-        edge_line = [i + 2 for i, row in enumerate(rows) if row]
-        tokens = list(chain.from_iterable(rows))
+    widths = list(map(len, map(str.split, lines[1:])))
+    if not set(widths) <= {0, 2}:
+        stop = next(i for i, w in enumerate(widths) if w not in (0, 2))
+        pending = GraphFormatError("malformed", f"expected 'u v', got {lines[stop + 1]!r}", stop + 2)
+        widths = widths[:stop]
+    edge_line: Sequence[int] = range(2, len(widths) + 2)  # the line of each edge
+    if 0 in widths:
+        edge_line = [i + 2 for i, w in enumerate(widths) if w]
+    # Every line boundary is whitespace, so after the header's two tokens the
+    # document's tokens are those of the edge lines, in order.
+    tokens = text.split()[2 : 2 + 2 * len(edge_line)]
     flat: Sequence[int]
     try:
         ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)  # int() of each token

@@ -79,7 +79,7 @@ _TOKEN = st.one_of(
     st.sampled_from(["+1", "-2", "007", str(10**30), str(-(10**30)), "1.5", "x", "1e3"]),
 )
 _LINE = st.one_of(
-    st.tuples(_TOKEN, st.sampled_from([" ", "\t", "  ", " \t "]), _TOKEN).map("".join),
+    st.tuples(_TOKEN, st.sampled_from([" ", "\t", "  ", " \t ", "\xa0", "\x1f"]), _TOKEN).map("".join),
     st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda e: f"{e[0]} {e[1]}"),
     st.sampled_from(["", "  ", "\t", "0 1 2", "3", " 0 1", "1 0 "]),
 )
@@ -87,8 +87,8 @@ _LINE = st.one_of(
 
 @st.composite
 def _edge_documents(draw):
-    """Headers and lines of every kind, with LF or CRLF endings, and plain
-    documents of 'u v' lines, which skip the per-line tokenising."""
+    """Headers and lines of every kind, with LF, CRLF or rarer line
+    boundaries, and documents of 'u v' lines, which mostly parse."""
     n = draw(st.one_of(st.integers(0, 6), st.integers(4, 6)))
     if draw(st.booleans()):
         ends = st.one_of(st.integers(0, 4), st.sampled_from([6, 10**30]))
@@ -97,7 +97,8 @@ def _edge_documents(draw):
         eols = ["\n"] * (len(lines) + 1)
     else:
         lines = draw(st.lists(_LINE, max_size=8))
-        eols = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+        eol = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+        eols = draw(st.lists(eol, min_size=len(lines) + 1, max_size=len(lines) + 1))
     m = draw(st.one_of(st.just(sum(1 for ln in lines if ln.strip())), st.integers(0, 6)))
     last = draw(st.booleans())
     text = f"{n} {m}" + "".join(e + ln for e, ln in zip(eols, lines))
