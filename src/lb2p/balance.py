@@ -79,16 +79,20 @@ class BalanceReport:
     closed_valid: bool
 
 
-def balance_report(g: Graph, p: TwoPartition) -> BalanceReport:
+def _balances(g: Graph, p: TwoPartition, mode: str) -> list[int]:
+    """Per-vertex phi-star balances in one mode."""
     if len(p.labels) != g.n:
         raise ValueError(f"partition has {len(p.labels)} labels for {g.n} vertices")
     phi = [1 if x else -1 for x in p.labels]
-    open_b = []
-    closed_b = []
-    for v in range(g.n):
-        s = sum(phi[u] for u in g.adj[v])
-        open_b.append(s)
-        closed_b.append(s + phi[v])
+    bal = [sum(map(phi.__getitem__, nbrs)) for nbrs in g.adj]
+    if mode == "closed":
+        bal = [b + f for b, f in zip(bal, phi)]
+    return bal
+
+
+def balance_report(g: Graph, p: TwoPartition) -> BalanceReport:
+    open_b = _balances(g, p, "open")
+    closed_b = [b + (1 if x else -1) for b, x in zip(open_b, p.labels)]
     return BalanceReport(
         tuple(open_b),
         tuple(closed_b),
@@ -101,6 +105,4 @@ def check(g: Graph, p: TwoPartition, mode: str) -> list[int]:
     """Violating vertices in the given mode; empty iff locally balanced."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    rep = balance_report(g, p)
-    bal = rep.open_balance if mode == "open" else rep.closed_balance
-    return [v for v in range(g.n) if abs(bal[v]) > 1]
+    return [v for v, b in enumerate(_balances(g, p, mode)) if abs(b) > 1]

@@ -2,14 +2,16 @@
 
 Exit codes: 0 definitive answer (SAT/UNSAT/VALID/PASS/CERT), 1 negative
 verification (INVALID/FAIL/rejected input of a map), 2 usage or format
-error, 3 node budget exhausted.  Output is byte-deterministic for fixed
-inputs and flags.
+error (a graph too large to allocate included), 3 node budget exhausted.
+Stdout is byte-deterministic for fixed inputs and flags; ``solve --stats``
+adds one JSON line of search statistics on stderr and leaves stdout as is.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -71,10 +73,23 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
+    start = time.perf_counter()
     if args.method == "brute":
         outcome = brute_force(g, args.mode)
     else:
         outcome = decide(g, args.mode, node_budget=args.budget)
+    if args.stats:
+        import json  # only here, so that runs without --stats do not import it
+
+        stats = {
+            "status": outcome.status,
+            "nodes": outcome.nodes,
+            "propagations": outcome.propagations,
+            "conflicts": outcome.conflicts,
+            "components": outcome.components,
+            "seconds": round(time.perf_counter() - start, 6),
+        }
+        print(json.dumps(stats), file=sys.stderr)
     if outcome.status == "timeout":
         print("TIMEOUT")
         return 3
@@ -193,6 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET, help="search node budget (> 0)"
     )
+    p.add_argument(
+        "--stats", action="store_true", help="print search statistics as one JSON line on stderr"
+    )
     p.add_argument("graph", help=GRAPH_FORMAT)
     p.set_defaults(func=_cmd_solve)
 
@@ -243,6 +261,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -1,13 +1,16 @@
 """Exact existence decision and enumeration for locally-balanced 2-partitions.
 
-Forcing rule, evaluated per constraint scope: with s the phi-star sum of the
-assigned scope members and m the number unassigned, the admissible totals A
-({0} for even-size scopes, {-1,+1} for odd) leave the unassigned part in
-T = {a - s : a in A, |a - s| <= m, a - s ≡ m (mod 2)}.  Empty T is a
-conflict; T = {+m} or {-m} fixes every unassigned scope member.  The
-degree-2 open rule (the two neighbors of a degree-2 vertex get distinct
+Forcing rule, per constraint scope: a scope of L members is balanced iff
+it holds at most cap = ceil(L/2) labels of each value (a phi-star sum of 0
+for even L, +-1 for odd L).  The engine keeps, per scope, the count of
+assigned members with each label.  A count above cap is a conflict; a
+count that reaches cap forces every unassigned member to the other label.
+The degree-2 open rule (the two neighbors of a degree-2 vertex get distinct
 labels) and the degree-1 closed rule (a leaf differs from its support) fall
-out as instances.
+out as instances.  Counts change only as labels are set and undone, and
+only a count that reaches or passes cap queues its scope for the forcing
+loop, which tests it for a conflict and forces inline.  The fixpoint, and
+whether it conflicts, do not depend on the order of the queue.
 
 ``decide`` first runs the rule to fixpoint, then splits the unassigned
 vertices into the components of the scope hypergraph: two vertices are
@@ -61,7 +64,7 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Per-vertex balance scopes with admissible sums derived from parity."""
+    """Per-vertex balance scopes; waived vertices' own scopes are inactive."""
 
     n: int
     mode: str
@@ -80,9 +83,6 @@ class ConstraintSystem:
         else:
             scopes = tuple(tuple(sorted(g.adj[v] + (v,))) for v in range(g.n))
         return cls(g.n, mode, scopes, wv)
-
-    def admissible(self, v: int) -> tuple[int, ...]:
-        return (0,) if len(self.scopes[v]) % 2 == 0 else (-1, 1)
 
 
 @dataclass(frozen=True)
@@ -107,121 +107,106 @@ class SolveOutcome:
     nodes: int
     propagations: int
     components: int = 0  # scope components ``decide`` found after propagation
+    conflicts: int = 0  # value attempts of the search whose propagation conflicted
 
 
 class _BudgetHit(Exception):
     pass
 
 
-_OK = -2
-_CONFLICT = -1
-
-
 class _Search:
     """Trail-based backtracking engine over a ConstraintSystem."""
 
     __slots__ = (
-        "n", "scopes", "adm", "owners", "label", "asum", "left",
-        "trail", "nodes", "propagations", "budget", "conflict_vertex",
+        "n", "scopes", "owners", "cap", "count", "label", "trail", "pending",
+        "nodes", "propagations", "conflicts", "budget", "conflict_vertex",
     )
 
     def __init__(self, cs: ConstraintSystem, budget: int):
         n = cs.n
         self.n = n
         self.scopes = cs.scopes
-        active = [v not in cs.waived for v in range(n)]
-        self.adm = tuple(cs.admissible(v) if active[v] else () for v in range(n))
         owners: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
-            if active[v]:
+            if v not in cs.waived:
                 for u in cs.scopes[v]:
                     owners[u].append(v)
         self.owners = tuple(tuple(o) for o in owners)
+        self.cap = [(len(s) + 1) // 2 for s in cs.scopes]
+        self.count = ([0] * n, [0] * n)  # per label, assigned members of each scope
         self.label = [-1] * n
-        self.asum = [0] * n
-        self.left = [len(cs.scopes[v]) if active[v] else 0 for v in range(n)]
         self.trail: list[int] = []
+        self.pending: list[tuple[int, int]] = []  # (scope, label) at or past cap
         self.nodes = 0
         self.propagations = 0
+        self.conflicts = 0
         self.budget = budget
         self.conflict_vertex: Optional[int] = None
 
     def _set(self, u: int, val: int) -> None:
         self.label[u] = val
         self.trail.append(u)
-        ph = 1 if val else -1
-        asum = self.asum
-        left = self.left
+        cnt = self.count[val]
+        cap = self.cap
         for v in self.owners[u]:
-            asum[v] += ph
-            left[v] -= 1
+            c = cnt[v] + 1
+            cnt[v] = c
+            if c >= cap[v]:
+                self.pending.append((v, val))
 
     def undo_to(self, mark: int) -> None:
         trail = self.trail
         label = self.label
-        asum = self.asum
-        left = self.left
-        while len(trail) > mark:
-            u = trail.pop()
-            ph = 1 if label[u] else -1
+        count = self.count
+        owners = self.owners
+        for u in trail[mark:]:
+            cnt = count[label[u]]
             label[u] = -1
-            for v in self.owners[u]:
-                asum[v] -= ph
-                left[v] += 1
+            for v in owners[u]:
+                cnt[v] -= 1
+        del trail[mark:]
 
-    def _eval(self, v: int) -> int:
-        """_OK, _CONFLICT, or the value forced on all unassigned scope members."""
-        m = self.left[v]
-        s = self.asum[v]
-        cand = 0
-        count = 0
-        for a in self.adm[v]:
-            t = a - s
-            if -m <= t <= m and (t + m) % 2 == 0:
-                count += 1
-                cand = t
-        if count == 0:
-            self.conflict_vertex = v
-            return _CONFLICT
-        if count == 1 and m > 0 and (cand == m or cand == -m):
-            return 1 if cand > 0 else 0
-        return _OK
-
-    def flush(self, pending: list[int]) -> bool:
+    def flush(self) -> bool:
         """Run the forcing rule to fixpoint; False on conflict."""
+        pending = self.pending
         label = self.label
+        trail = self.trail
+        scopes = self.scopes
+        owners = self.owners
+        count = self.count
+        cap = self.cap
+        forced = 0
         while pending:
-            v = pending.pop()
-            r = self._eval(v)
-            if r == _OK:
-                continue
-            if r == _CONFLICT:
+            v, val = pending.pop()
+            if count[val][v] > cap[v]:
+                self.conflict_vertex = v
+                pending.clear()
+                self.propagations += forced
                 return False
-            for w in self.scopes[v]:
+            other = 1 - val
+            cnt = count[other]
+            for w in scopes[v]:
                 if label[w] == -1:
-                    self.propagations += 1
-                    self._set(w, r)
-                    pending.extend(self.owners[w])
+                    label[w] = other
+                    trail.append(w)
+                    forced += 1
+                    for x in owners[w]:
+                        c = cnt[x] + 1
+                        cnt[x] = c
+                        if c >= cap[x]:
+                            pending.append((x, other))
+        self.propagations += forced
         return True
 
-    def assign(self, u: int, val: int) -> bool:
-        self._set(u, val)
-        return self.flush(list(self.owners[u]))
-
     def initialize(self, fixed: Optional[Mapping[int, int]]) -> bool:
-        pending = [v for v in range(self.n) if self.adm[v]]
         if fixed:
             for u, val in sorted(fixed.items()):
                 if not (0 <= u < self.n):
                     raise ValueError(f"fixed vertex {u} out of range")
                 if val not in (0, 1):
                     raise ValueError("fixed labels must be 0 or 1")
-                if self.label[u] == -1:
-                    self._set(u, val)
-                    pending.extend(self.owners[u])
-                elif self.label[u] != val:
-                    return False
-        return self.flush(pending)
+                self._set(u, val)
+        return self.flush()
 
     def components(self) -> list[tuple[list[int], bool]]:
         """Unassigned vertices grouped by shared active scopes.
@@ -234,7 +219,7 @@ class _Search:
         label = self.label
         owners = self.owners
         scopes = self.scopes
-        left = self.left
+        count0, count1 = self.count
         vertex_seen = [False] * self.n
         scope_seen = [False] * self.n
         out = []
@@ -249,7 +234,7 @@ class _Search:
                     if scope_seen[v]:
                         continue
                     scope_seen[v] = True
-                    if left[v] != len(scopes[v]):
+                    if count0[v] or count1[v]:
                         symmetric = False
                     for w in scopes[v]:
                         if label[w] == -1 and not vertex_seen[w]:
@@ -264,7 +249,8 @@ class _Search:
 
         Yields each time every vertex of ``order`` is labelled; the labels
         are then in ``self.label``.  With ``symmetric`` the first vertex
-        takes only the value 0.  Raises _BudgetHit past the node budget.
+        takes only the value 0.  A value whose propagation conflicts counts
+        in ``conflicts``.  Raises _BudgetHit past the node budget.
         """
         label = self.label
         trail = self.trail
@@ -289,9 +275,11 @@ class _Search:
                 self.nodes += 1
                 if self.nodes > self.budget:
                     raise _BudgetHit
-                if self.assign(order[pos], val):
+                self._set(order[pos], val)
+                if self.flush():
                     i = pos + 1
                     break
+                self.conflicts += 1
             else:
                 return
 
@@ -305,11 +293,9 @@ def propagate(cs: ConstraintSystem, partial) -> PropagationResult:
         raise ValueError(f"partial assignment has {len(partial)} entries for n={cs.n}")
     eng = _Search(cs, budget=0)
     fixed = {v: x for v, x in enumerate(partial) if x is not None}
-    ok = eng.initialize(fixed)
+    eng.initialize(fixed)  # conflict_vertex stays None unless it fails
     assignment = tuple(x if x != -1 else None for x in eng.label)
-    if not ok:
-        return PropagationResult(assignment, eng.conflict_vertex, eng.propagations)
-    return PropagationResult(assignment, None, eng.propagations)
+    return PropagationResult(assignment, eng.conflict_vertex, eng.propagations)
 
 
 def _assert_sound(g: Graph, witness: TwoPartition, mode: str, waived: frozenset[int]) -> None:
@@ -332,20 +318,27 @@ def decide(
     """
     cs = ConstraintSystem.from_graph(g, mode, waived)
     eng = _Search(cs, node_budget)
+    comps: list = []
+
+    def outcome(status: str, witness: Optional[TwoPartition] = None) -> SolveOutcome:
+        return SolveOutcome(
+            status, witness, eng.nodes, eng.propagations, len(comps), eng.conflicts
+        )
+
     if not eng.initialize(fixed):
-        return SolveOutcome("unsat", None, eng.nodes, eng.propagations)
+        return outcome("unsat")
     comps = eng.components()
     try:
         for order, symmetric in comps:
             for _ in eng.search(order, symmetric):
                 break  # keep the component's first labeling
             else:
-                return SolveOutcome("unsat", None, eng.nodes, eng.propagations, len(comps))
+                return outcome("unsat")
     except _BudgetHit:
-        return SolveOutcome("timeout", None, eng.nodes, eng.propagations, len(comps))
+        return outcome("timeout")
     witness = TwoPartition(tuple(0 if x == -1 else x for x in eng.label))
     _assert_sound(g, witness, mode, cs.waived)
-    return SolveOutcome("sat", witness, eng.nodes, eng.propagations, len(comps))
+    return outcome("sat", witness)
 
 
 def enumerate_partitions(

@@ -166,3 +166,36 @@ def random_nae_instance(n: int, rng: random.Random, tries: int = 20000) -> NaeIn
 
 
 CANONICAL_N3 = "p nae3 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"
+
+
+def reference_propagate(g: Graph, mode: str, partial, waived=frozenset()) -> tuple[list, bool]:
+    """The T-set forcing rule, swept over every active scope to fixpoint;
+    kept as an oracle for ``propagate``.  Returns (labels, conflict).
+
+    With s the phi-star sum of a scope's assigned members and m the number
+    unassigned, the admissible totals A ({0} for an even-size scope, {-1,+1}
+    for an odd one) leave the unassigned part in
+    T = {a - s : a in A, |a - s| <= m, a - s ≡ m (mod 2)}.  Empty T is a
+    conflict; T = {+m} or {-m} with m > 0 fixes every unassigned member.
+    """
+    label = list(partial)
+    scopes = [g.adj[v] if mode == "open" else g.adj[v] + (v,) for v in range(g.n)]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if v in waived:
+                continue
+            scope = scopes[v]
+            s = sum(1 if label[u] else -1 for u in scope if label[u] is not None)
+            m = sum(label[u] is None for u in scope)
+            admissible = (0,) if len(scope) % 2 == 0 else (-1, 1)
+            t_set = [a - s for a in admissible if abs(a - s) <= m and (a - s + m) % 2 == 0]
+            if not t_set:
+                return label, True
+            if len(t_set) == 1 and m > 0 and abs(t_set[0]) == m:
+                for u in scope:
+                    if label[u] is None:
+                        label[u] = 1 if t_set[0] > 0 else 0
+                changed = True
+    return label, False

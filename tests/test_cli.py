@@ -1,9 +1,11 @@
+import json
 from pathlib import Path
 
 import pytest
 
 from helpers import CANONICAL_N3, complete, complete_bipartite, cycle, subdivide
 from lb2p import parse_graph, parse_partition, serialize_graph
+from lb2p import cli
 from lb2p.cli import main
 from lb2p.nae import parse_nae
 from lb2p.reductions import read_artifact, reduce_open_biregular
@@ -68,6 +70,39 @@ def test_solve_timeout_exit_code(files, capsys):
     code = main(["solve", "--mode", "open", "--budget", "1", str(files["bireg"])])
     assert code == 3
     assert capsys.readouterr().out == "TIMEOUT\n"
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [("c4", []), ("c6", []), ("bireg", ["--budget", "1"]), ("c4", ["--method", "brute"])],
+)
+def test_solve_stats_line_leaves_stdout_unchanged(files, capsys, name, extra):
+    argv = ["solve", "--mode", "open", *extra, str(files[name])]
+    code = main(argv)
+    plain = capsys.readouterr()
+    assert main(argv[:1] + ["--stats"] + argv[1:]) == code
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out and plain.err == ""
+    assert with_stats.err.count("\n") == 1  # one line
+    stats = json.loads(with_stats.err)
+    assert list(stats) == ["status", "nodes", "propagations", "conflicts", "components", "seconds"]
+    assert stats["status"] == plain.out.split()[0].lower()
+    assert stats["nodes"] >= 1 and stats["seconds"] >= 0
+    if name == "c6":
+        assert stats["conflicts"] == 1
+
+
+def test_graph_too_large_to_allocate_is_exit_2(files, capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError("Unable to allocate 1.49 GiB")
+
+    monkeypatch.setattr(cli, "parse_graph", exhausted)
+    huge = files["tmp"] / "huge.graph"
+    huge.write_text("200000000 0\n")
+    assert main(["solve", "--mode", "open", str(huge)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 1.49 GiB\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-5", "ten"])

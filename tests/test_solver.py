@@ -1,12 +1,22 @@
+import hashlib
 import random
 import sys
 
 import pytest
 
-from helpers import CANONICAL_N3, cycle, disjoint_union, erdos_renyi, path
+from helpers import (
+    CANONICAL_N3,
+    cycle,
+    disjoint_union,
+    erdos_renyi,
+    path,
+    random_nae_instance,
+    reference_propagate,
+)
 from lb2p import (
     BudgetExceededError,
     ConstraintSystem,
+    Graph,
     TwoPartition,
     brute_force,
     check,
@@ -16,7 +26,7 @@ from lb2p import (
 )
 from lb2p.gadgets import gadget_f2
 from lb2p.nae import parse_nae
-from lb2p.reductions import reduce_open_biregular
+from lb2p.reductions import reduce_by_name, reduce_open_biregular
 
 
 def test_propagate_open_path_forces_far_end():
@@ -47,6 +57,28 @@ def test_propagate_conflict_reports_vertex():
     # their common neighbors (1 and 3) are unsatisfiable
     result = propagate(cs, [0, None, 0, None])
     assert result.conflict in (1, 3)
+
+
+def test_propagate_matches_reference_tset_rule():
+    # the count-against-cap kernel and the T-set rule reach the same
+    # fixpoint, and conflict on the same inputs
+    rng = random.Random(4040)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        g = erdos_renyi(rng.randint(1, 10), rng.choice([0.2, 0.4, 0.7]), rng)
+        for mode in ("open", "closed"):
+            waived = frozenset(v for v in range(g.n) if rng.random() < 0.2)
+            labelled = rng.choice([0.1, 0.3, 0.5])
+            partial = [rng.randint(0, 1) if rng.random() < labelled else None for _ in range(g.n)]
+            result = propagate(ConstraintSystem.from_graph(g, mode, waived), partial)
+            labels, conflict = reference_propagate(g, mode, partial, waived)
+            assert (result.conflict is not None) == conflict
+            if conflict:
+                assert result.conflict not in waived
+            else:
+                assert list(result.assignment) == labels
+            outcomes[conflict] += 1
+    assert min(outcomes.values()) >= 100
 
 
 def test_decide_k2_open_deterministic():
@@ -174,9 +206,55 @@ def test_fixed_labels_respected():
     assert decide(cycle(3), "closed", fixed={0: 0, 1: 0, 2: 0}).status == "unsat"
 
 
+def test_fixed_one_rules_out_complement_symmetry():
+    # vertex 0's scope {1, 2, 3} holds only the fixed 1, and every witness
+    # labels vertex 0 with 1, so the component {0, 1, 2} must branch on both
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    assert decide(g, "open", fixed={3: 1}).witness.labels == (1, 0, 0, 1)
+
+
 def test_solver_stats_populated():
     out = decide(cycle(8), "open")
     assert out.nodes > 0 and out.propagations > 0
+    assert out.conflicts == 0
+    # the 6-cycle is refuted in one node: its only branch value conflicts
+    c6 = decide(cycle(6), "open")
+    assert c6.conflicts == c6.nodes == 1
+
+
+# status, nodes and the sha256 prefix of the witness line, recorded with the
+# T-set propagator that the counting kernel replaced; instances from
+# random_nae_instance(n, random.Random(404)) drawn in this order
+PINNED_REDUCTIONS = [
+    ("bireg", 12, "timeout", 5001, None),
+    ("subcubic", 12, "sat", 148, "21ddfc426813e623"),
+    ("odd", 12, "sat", 148, "3368c88b4d56ad58"),
+    ("bireg", 15, "timeout", 5001, None),
+    ("subcubic", 15, "sat", 60, "bf8ecaa6fd5c8774"),
+    ("odd", 15, "sat", 60, "a6c39d22ba7956e0"),
+    ("bireg", 18, "timeout", 5001, None),
+    ("subcubic", 18, "sat", 97, "6e5b2db2420a7c3e"),
+    ("odd", 18, "sat", 97, "817f45e0d884c7eb"),
+    ("bireg", 21, "timeout", 5001, None),
+    ("subcubic", 21, "sat", 366, "43aebe9f8d63a63f"),
+    ("odd", 21, "sat", 366, "ad97a9e3a8adeb4b"),
+    ("bireg", 24, "timeout", 5001, None),
+    ("subcubic", 24, "sat", 334, "533a35cae2409e70"),
+    ("odd", 24, "sat", 334, "27f0d65e993fbe95"),
+]
+
+
+def test_decide_pinned_on_reductions():
+    rng = random.Random(404)
+    mode = {"bireg": "open", "subcubic": "closed", "odd": "closed"}
+    inst = None
+    for target, n, status, nodes, digest in PINNED_REDUCTIONS:
+        if target == "bireg":
+            inst = random_nae_instance(n, rng)
+        out = decide(reduce_by_name(target, inst, 1).graph, mode[target], node_budget=5000)
+        line = out.witness.to_line() if out.witness else None
+        got = hashlib.sha256(line.encode()).hexdigest()[:16] if line else None
+        assert (target, n, out.status, out.nodes, got) == (target, n, status, nodes, digest)
 
 
 def test_empty_graph_is_sat():
