@@ -46,11 +46,11 @@ class TwoPartition:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if any(x not in (0, 1) for x in self.labels):
+        if not set(self.labels) <= {0, 1}:
             raise ValueError("labels must be 0 or 1")
 
     def to_line(self) -> str:
-        return "".join(str(x) for x in self.labels)
+        return "".join(map(str, self.labels))
 
 
 def parse_partition(text: str, n: int) -> TwoPartition:
@@ -60,9 +60,9 @@ def parse_partition(text: str, n: int) -> TwoPartition:
         raise ValueError("partition file must be a single line")
     if len(line) != n:
         raise ValueError(f"expected {n} labels, got {len(line)}")
-    if any(c not in "01" for c in line):
+    if line.strip("01"):
         raise ValueError("labels must be characters 0 or 1")
-    return TwoPartition(tuple(int(c) for c in line))
+    return TwoPartition(tuple(map(int, line)))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .gadgets import (
 from .graphs import GraphFormatError, classify, parse_graph
 from .nae import NaeFormatError, parse_nae
 from .reductions import (
+    REDUCTION_NAMES,
     InvalidPartitionError,
     UnsatAssignmentError,
     assignment_to_partition,
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_biregular)
 
     p = sub.add_parser("reduce", help="build a reduction graph plus role-map sidecar")
-    p.add_argument("--target", choices=("bireg", "even", "subcubic", "odd"), required=True)
+    p.add_argument("--target", choices=REDUCTION_NAMES, required=True)
     p.add_argument("--r", type=int, default=1, help="half-width of clause blocks (bireg only)")
     p.add_argument("--out", help="output base path (default: formula path without extension)")
     p.add_argument("formula", help=FORMULA_FORMAT)

@@ -21,6 +21,7 @@ __all__ = [
     "nae_eval",
     "brute_sat",
     "occurrence_slot",
+    "occurrence_slots",
 ]
 
 BRUTE_SAT_CAP = 25
@@ -149,3 +150,17 @@ def occurrence_slot(inst: NaeInstance, var: int, clause_index: int) -> int:
             if j == clause_index:
                 return slot
     raise ValueError(f"variable {var} does not occur in clause {clause_index}")
+
+
+def occurrence_slots(inst: NaeInstance) -> list[tuple[int, int, int]]:
+    """Per clause, the 1-based occurrence number of each member, in one pass
+    with one counter per variable: ``occurrence_slots(inst)[j][m]`` equals
+    ``occurrence_slot(inst, inst.clauses[j][m], j)``."""
+    seen = [0] * inst.n
+    out = []
+    for a, b, c in inst.clauses:
+        seen[a] += 1
+        seen[b] += 1
+        seen[c] += 1
+        out.append((seen[a], seen[b], seen[c]))
+    return out

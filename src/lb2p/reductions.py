@@ -10,7 +10,15 @@ Every constructor returns the graph plus a total role map (vertex -> tagged
 role), verifies its gadget contracts first, and asserts its class
 postconditions.  The role map supports the two directional maps: a
 satisfying assignment lifts to a checker-valid partition, and a valid
-partition projects back to a satisfying assignment.
+partition projects back to a satisfying assignment.  Both maps check their
+result and raise, never assert, when the graph disagrees with its roles.
+
+The role map is fixed by the reduction's name and the instance shape
+(``_layout``).  The constructors, ``write_artifact`` and ``read_artifact``
+all take it from there, so a ``.roles`` file is its header plus the records
+the header determines, and ``read_artifact`` accepts exactly those records.
+Constructors, lift and extract do O(n + k) work, apart from the one numpy
+sort that builds or loads the graph.
 
 Vertex layout is chosen so the exact solver's index-order branching performs
 well: variable vertices (or whole gadget blocks, in the closed
@@ -28,7 +36,7 @@ from typing import Sequence, Union
 from .balance import TwoPartition, check, phi_star
 from .gadgets import ensure_verified, gadget_f1, gadget_f4, gadget_forcing
 from .graphs import Graph, bipartition, classify, parse_graph, serialize_graph
-from .nae import NaeInstance, nae_eval, occurrence_slot
+from .nae import NaeInstance, occurrence_slots
 
 __all__ = [
     "ReductionArtifact",
@@ -49,9 +57,9 @@ __all__ = [
 ]
 
 REDUCTION_NAMES = ("bireg", "even", "subcubic", "odd")
+MODE_OF = {"bireg": "open", "even": "open", "subcubic": "closed", "odd": "closed"}
 
 GAMMA_SIZE = 30
-F1_SIZE = 16
 F4_SIZE = 9
 
 
@@ -89,31 +97,73 @@ class ReductionArtifact:
 def parse_assignment(text: str, n: int) -> tuple[int, ...]:
     """One line of n characters from {0,1}, newline-terminated."""
     line = text.strip("\n")
-    if "\n" in line or len(line) != n or any(c not in "01" for c in line):
+    if "\n" in line or len(line) != n or line.strip("01"):
         raise ValueError(f"expected one line of {n} characters from 0/1")
-    return tuple(int(c) for c in line)
+    return tuple(map(int, line))
+
+
+def _layout(name: str, n: int, k: int, r: int) -> list[tuple[list[Role], int]]:
+    """The vertex layout as (template, count) blocks in vertex order: a block
+    repeats its template once per variable (count n) or clause (count k)."""
+    if name == "bireg":
+        return [([("p", ())], n), ([("q", (l,)) for l in range(1, 2 * r + 1)], k)]
+    if name == "even":
+        return [
+            ([("p", (t,)) for t in range(1, 5)], n),
+            ([("g", (j,)) for j in range(1, 13)], n),
+            ([("q", (1,)), ("q", (2,))], k),
+            ([("v", ())], k),
+        ]
+    slot = {local: t for t, local in enumerate(gadget_forcing().inputs, start=1)}
+    gamma = [("p", (slot[x],)) if x in slot else ("g", (x,)) for x in range(GAMMA_SIZE)]
+    blocks = [(gamma, n), ([("q", ())], k)]
+    if name == "odd":
+        blocks.append(([(tag, (t,)) for t in range(1, 4) for tag in "yzb"], k))
+    return blocks
+
+
+def _roles(name: str, n: int, k: int, r: int = 0) -> tuple[Role, ...]:
+    """The role of every vertex, fixed by the reduction and the instance
+    shape: a template role (tag, rest) of block copy i is (tag, (i, *rest))."""
+    return tuple([
+        (tag, (i, *rest))
+        for template, count in _layout(name, n, k, r)
+        for i in range(count)
+        for tag, rest in template
+    ])
+
+
+def _records(roles: Sequence[Role]) -> list[str]:
+    """The role-map lines below the header: 'vertex tag i' or 'vertex tag i
+    j', as every role has one or two indices."""
+    return [
+        f"{v} {tag} {idx[0]} {idx[1]}" if len(idx) > 1 else f"{v} {tag} {idx[0]}"
+        for v, (tag, idx) in enumerate(roles)
+    ]
+
+
+def _artifact(name: str, inst: NaeInstance, edges, r: int = 0) -> ReductionArtifact:
+    """The artifact of the reduction's edges, with the roles of its layout."""
+    roles = _roles(name, inst.n, inst.k, r)
+    graph = Graph.from_edges(len(roles), edges)
+    return ReductionArtifact(name, MODE_OF[name], graph, roles, inst.n, inst.k, r)
 
 
 def reduce_open_biregular(inst: NaeInstance, r: int = 1) -> ReductionArtifact:
     """One vertex per variable, 2r per clause, complete joins on membership."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    n, k = inst.n, inst.k
-    q = lambda j, l: n + 2 * r * j + (l - 1)
-    edges = []
-    for j, clause in enumerate(inst.clauses):
-        for var in clause:
-            for l in range(1, 2 * r + 1):
-                edges.append((var, q(j, l)))
-    roles: list[Role] = [("p", (i,)) for i in range(n)]
-    for j in range(k):
-        for l in range(1, 2 * r + 1):
-            roles.append(("q", (j, l)))
-    g = Graph.from_edges(n + 2 * r * k, edges)
-    assert g.n == n + 2 * r * k
-    rep = classify(g)
+    n = inst.n
+    edges = [
+        (var, n + 2 * r * j + l)
+        for j, clause in enumerate(inst.clauses)
+        for var in clause
+        for l in range(2 * r)
+    ]
+    art = _artifact("bireg", inst, edges, r)
+    rep = classify(art.graph)
     assert rep.biregular == (3, 8 * r), f"expected (3,{8 * r})-biregular, got {rep.biregular}"
-    return ReductionArtifact("bireg", "open", g, tuple(roles), n, k, r)
+    return art
 
 
 def reduce_open_even(inst: NaeInstance) -> ReductionArtifact:
@@ -132,36 +182,23 @@ def reduce_open_even(inst: NaeInstance) -> ReductionArtifact:
             edges.append((u(i, 3 * l - 2), u(i, 3 * l - 1)))
             edges.append((u(i, 3 * l - 1), u(i, 3 * l)))
             edges.append((u(i, 3 * l), p(i, l % 4 + 1)))
-    for j, clause in enumerate(inst.clauses):
-        for var in clause:
-            t = occurrence_slot(inst, var, j)
+    for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
+        for var, t in zip(clause, slots):
             edges.append((p(var, t), q(j, 1)))
             edges.append((p(var, t), q(j, 2)))
-    for j in range(k):
         edges.append((q(j, 1), v(j)))
         edges.append((q(j, 2), v(j)))
-    roles: list[Role] = []
-    for i in range(n):
-        for t in range(1, 5):
-            roles.append(("p", (i, t)))
-    for i in range(n):
-        for j in range(1, 13):
-            roles.append(("g", (i, j)))
-    for j in range(k):
-        roles.append(("q", (j, 1)))
-        roles.append(("q", (j, 2)))
-    for j in range(k):
-        roles.append(("v", (j,)))
-    g = Graph.from_edges(16 * n + 3 * k, edges)
-    assert g.n == 16 * n + 3 * k
-    rep = classify(g)
+    art = _artifact("even", inst, edges)
+    rep = classify(art.graph)
     assert rep.is_even and rep.max_degree == 4
-    assert bipartition(g) is not None
-    return ReductionArtifact("even", "open", g, tuple(roles), n, k)
+    assert bipartition(art.graph) is not None
+    return art
 
 
-def _gamma_edges(base: int, gamma) -> list[tuple[int, int]]:
-    return [(base + a, base + b) for a, b in gamma.graph.edges()]
+def _gamma_edges(n: int, gamma) -> list[tuple[int, int]]:
+    """One copy of the forcing gadget per variable, copy i at GAMMA_SIZE*i."""
+    local = gamma.graph.edges()
+    return [(GAMMA_SIZE * i + a, GAMMA_SIZE * i + b) for i in range(n) for a, b in local]
 
 
 def reduce_closed_subcubic(inst: NaeInstance) -> ReductionArtifact:
@@ -169,31 +206,16 @@ def reduce_closed_subcubic(inst: NaeInstance) -> ReductionArtifact:
     vertex joined to the inputs that carry its variables' occurrences."""
     gamma = gadget_forcing()
     ensure_verified(gamma)
-    n, k = inst.n, inst.k
-    input_slot = {local: t for t, local in enumerate(gamma.inputs, start=1)}
-    q = lambda j: GAMMA_SIZE * n + j
-    edges = []
-    for i in range(n):
-        edges.extend(_gamma_edges(GAMMA_SIZE * i, gamma))
-    for j, clause in enumerate(inst.clauses):
-        for var in clause:
-            t = occurrence_slot(inst, var, j)
-            edges.append((GAMMA_SIZE * var + gamma.inputs[t - 1], q(j)))
-    roles: list[Role] = []
-    for i in range(n):
-        for local in range(GAMMA_SIZE):
-            if local in input_slot:
-                roles.append(("p", (i, input_slot[local])))
-            else:
-                roles.append(("g", (i, local)))
-    for j in range(k):
-        roles.append(("q", (j,)))
-    g = Graph.from_edges(GAMMA_SIZE * n + k, edges)
-    assert g.n == GAMMA_SIZE * n + k
-    rep = classify(g)
+    n = inst.n
+    edges = _gamma_edges(n, gamma)
+    for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
+        for var, t in zip(clause, slots):
+            edges.append((GAMMA_SIZE * var + gamma.inputs[t - 1], GAMMA_SIZE * n + j))
+    art = _artifact("subcubic", inst, edges)
+    rep = classify(art.graph)
     assert rep.max_degree == 3
-    assert bipartition(g) is not None
-    return ReductionArtifact("subcubic", "closed", g, tuple(roles), n, k)
+    assert bipartition(art.graph) is not None
+    return art
 
 
 def reduce_closed_odd(inst: NaeInstance) -> ReductionArtifact:
@@ -204,40 +226,21 @@ def reduce_closed_odd(inst: NaeInstance) -> ReductionArtifact:
     f4 = gadget_f4()
     ensure_verified(f4)
     n, k = inst.n, inst.k
-    input_slot = {local: t for t, local in enumerate(gamma.inputs, start=1)}
-    q = lambda j: GAMMA_SIZE * n + j
-    f4_base = lambda j: GAMMA_SIZE * n + k + F4_SIZE * j
-    y = lambda j, t: f4_base(j) + 3 * (t - 1)
-    edges = []
-    for i in range(n):
-        edges.extend(_gamma_edges(GAMMA_SIZE * i, gamma))
-    for j, clause in enumerate(inst.clauses):
-        for t, var in enumerate(clause, start=1):
-            slot = occurrence_slot(inst, var, j)
+    f4_local = f4.graph.edges()
+    edges = _gamma_edges(n, gamma)
+    for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
+        q = GAMMA_SIZE * n + j
+        f4_base = GAMMA_SIZE * n + k + F4_SIZE * j
+        for t, (var, slot) in enumerate(zip(clause, slots)):
             p_vertex = GAMMA_SIZE * var + gamma.inputs[slot - 1]
-            edges.append((q(j), p_vertex))
-            edges.append((y(j, t), p_vertex))
-        edges.extend((f4_base(j) + a, f4_base(j) + b) for a, b in f4.graph.edges())
-    roles: list[Role] = []
-    for i in range(n):
-        for local in range(GAMMA_SIZE):
-            if local in input_slot:
-                roles.append(("p", (i, input_slot[local])))
-            else:
-                roles.append(("g", (i, local)))
-    for j in range(k):
-        roles.append(("q", (j,)))
-    for j in range(k):
-        for t in range(1, 4):
-            roles.append(("y", (j, t)))
-            roles.append(("z", (j, t)))
-            roles.append(("b", (j, t)))
-    g = Graph.from_edges(GAMMA_SIZE * n + (1 + F4_SIZE) * k, edges)
-    assert g.n == GAMMA_SIZE * n + 10 * k
-    rep = classify(g)
+            edges.append((q, p_vertex))
+            edges.append((f4_base + 3 * t, p_vertex))
+        edges.extend((f4_base + a, f4_base + b) for a, b in f4_local)
+    art = _artifact("odd", inst, edges)
+    rep = classify(art.graph)
     assert rep.is_odd and rep.max_degree == 3
-    assert bipartition(g) is None, "triangle widgets should break bipartiteness"
-    return ReductionArtifact("odd", "closed", g, tuple(roles), n, k)
+    assert bipartition(art.graph) is None, "triangle widgets should break bipartiteness"
+    return art
 
 
 def reduce_by_name(name: str, inst: NaeInstance, r: int = 1) -> ReductionArtifact:
@@ -252,128 +255,108 @@ def reduce_by_name(name: str, inst: NaeInstance, r: int = 1) -> ReductionArtifac
     raise ValueError(f"unknown reduction {name!r}")
 
 
-def _clause_pvars(artifact: ReductionArtifact) -> list[list[tuple[int, int]]]:
-    """Per clause, the (p vertex, variable) pairs read off the role map."""
-    index = artifact.role_index()
+def _clause_pvars(
+    artifact: ReductionArtifact, index: dict[Role, int]
+) -> list[list[tuple[int, int]]]:
+    """Per clause, the (p vertex, variable) pairs adjacent to its clause
+    vertex, in vertex order; RoleMapError unless there are three."""
+    roles, adj = artifact.roles, artifact.graph.adj
+    closed = artifact.mode == "closed"
     out = []
     for j in range(artifact.n_clauses):
-        qrole: Role = ("q", (j,)) if artifact.name in ("subcubic", "odd") else ("q", (j, 1))
-        qv = index[qrole]
-        members = []
-        for w in artifact.graph.adj[qv]:
-            tag, idx = artifact.roles[w]
-            if tag == "p":
-                members.append((w, idx[0]))
-        members.sort()
+        qv = index[("q", (j,) if closed else (j, 1))]
+        members = [(w, roles[w][1][0]) for w in adj[qv] if roles[w][0] == "p"]
+        if len(members) != 3:
+            raise RoleMapError(
+                f"clause vertex {qv} has {len(members)} variable neighbours, expected 3"
+            )
         out.append(members)
     return out
-
-
-def _clause_sign(pvars: Sequence[tuple[int, int]], assignment: Sequence[int]) -> int:
-    s = sum(phi_star(assignment[var]) for _, var in pvars)
-    assert s in (-1, 1)
-    return s
 
 
 def assignment_to_partition(
     artifact: ReductionArtifact, assignment: Sequence[int]
 ) -> TwoPartition:
     """Lift a satisfying assignment to a partition valid in the artifact's
-    mode (asserted against the checker before returning).
+    mode, checked against the checker before it is returned.
 
     Raises UnsatAssignmentError when some clause is monochrome; the clause
-    vertices' completion rule is undefined in that case.
+    vertices' completion rule is undefined in that case.  Raises
+    RoleMapError when the lift fails the checker, which happens only when
+    the graph is not the one its role map describes.
     """
     if len(assignment) != artifact.n_vars:
         raise ValueError(f"assignment has {len(assignment)} entries for n={artifact.n_vars}")
-    if any(x not in (0, 1) for x in assignment):
+    if not set(assignment) <= {0, 1}:
         raise ValueError("assignment entries must be 0 or 1")
-    clause_pvars = _clause_pvars(artifact)
+    a = assignment
+    clause_pvars = _clause_pvars(artifact, artifact.role_index())
     for j, pvars in enumerate(clause_pvars):
-        if len({assignment[var] for _, var in pvars}) == 1:
+        if len({a[var] for _, var in pvars}) == 1:
             raise UnsatAssignmentError(f"clause {j} is monochrome under the assignment")
-
-    labels = [0] * artifact.graph.n
-    name = artifact.name
-    if name == "bireg":
-        for v, (tag, idx) in enumerate(artifact.roles):
-            if tag == "p":
-                labels[v] = assignment[idx[0]]
-            else:
-                labels[v] = idx[1] % 2
-    elif name == "even":
-        qsign = {j: _clause_sign(pvars, assignment) for j, pvars in enumerate(clause_pvars)}
-        for v, (tag, idx) in enumerate(artifact.roles):
-            if tag == "p":
-                labels[v] = assignment[idx[0]]
-            elif tag == "g":
-                i, j = idx
-                labels[v] = assignment[i] if j % 3 == 1 else 1 - assignment[i]
-            elif tag == "q":
-                labels[v] = 1 if idx[1] == 1 else 0
-            else:  # absorber: cancel the clause's variable surplus
-                labels[v] = 0 if qsign[idx[0]] == 1 else 1
-    else:
-        gamma = gadget_forcing()
-        completions = {beta: gamma.completion(beta) for beta in (0, 1)}
-        qlab = {
-            j: (1 if _clause_sign(pvars, assignment) == -1 else 0)
-            for j, pvars in enumerate(clause_pvars)
+    # 1 where the clause's three variables sum to -1 under phi_star: the
+    # label that cancels the clause's surplus
+    cancel = [int(sum(phi_star(a[var]) for _, var in pvars) < 0) for pvars in clause_pvars]
+    if artifact.name == "bireg":
+        rules = {"p": lambda i: a[i], "q": lambda j, l: l % 2}
+    elif artifact.name == "even":
+        rules = {
+            "p": lambda i, t: a[i],
+            "g": lambda i, j: a[i] if j % 3 == 1 else 1 - a[i],
+            "q": lambda j, l: 1 if l == 1 else 0,
+            "v": lambda j: cancel[j],
         }
-        strand_var = {}
-        if name == "odd":
-            index = artifact.role_index()
-            for j, pvars in enumerate(clause_pvars):
-                qv = index[("q", (j,))]
-                for t in range(1, 4):
-                    yv = index[("y", (j, t))]
-                    pv = next(
-                        w for w in artifact.graph.adj[yv] if artifact.roles[w][0] == "p"
-                    )
-                    strand_var[(j, t)] = artifact.roles[pv][1][0]
-        for v, (tag, idx) in enumerate(artifact.roles):
-            if tag == "p":
-                labels[v] = assignment[idx[0]]
-            elif tag == "g":
-                labels[v] = completions[assignment[idx[0]]][idx[1]]
-            elif tag == "q":
-                labels[v] = qlab[idx[0]]
-            elif tag == "y":
-                labels[v] = 1 - qlab[idx[0]]
-            elif tag == "z":
-                labels[v] = qlab[idx[0]]
-            elif tag == "b":
-                labels[v] = 1 - assignment[strand_var[idx]]
-    partition = TwoPartition(tuple(labels))
-    assert not check(artifact.graph, partition, artifact.mode), "lifted partition failed the checker"
+    else:
+        completion = [gadget_forcing().completion(beta) for beta in (0, 1)]
+        rules = {
+            "p": lambda i, t: a[i],
+            "g": lambda i, local: completion[a[i]][local],
+            "q": lambda j: cancel[j],
+            "y": lambda j, t: 1 - cancel[j],
+            "z": lambda j, t: cancel[j],
+            # strand t of clause j hangs off the input of its t-th variable
+            "b": lambda j, t: 1 - a[clause_pvars[j][t - 1][1]],
+        }
+    partition = TwoPartition(tuple([rules[tag](*idx) for tag, idx in artifact.roles]))
+    violations = check(artifact.graph, partition, artifact.mode)
+    if violations:
+        raise RoleMapError(
+            f"lifted partition violates balance at {violations}: "
+            "the graph does not match its role map"
+        )
     return partition
 
 
 def partition_to_assignment(
     artifact: ReductionArtifact, partition: TwoPartition
 ) -> tuple[int, ...]:
-    """Read an assignment off the first input vertex of every variable.
+    """Read an assignment off the input vertices of every variable.
 
-    Raises InvalidPartitionError when the partition fails the checker; on
+    Raises InvalidPartitionError when the partition fails the checker.  On
     valid partitions the gadget forcing makes all of a variable's inputs
-    agree and the clause-vertex balance makes the result satisfying
-    (asserted).
+    agree and the clause-vertex balance makes the result satisfying; both
+    are checked, and RoleMapError says the graph is not the one its role
+    map describes.
     """
     violations = check(artifact.graph, partition, artifact.mode)
     if violations:
         raise InvalidPartitionError(f"partition violates balance at {violations}")
     labels = partition.labels
     index = artifact.role_index()
+    tails = [()] if artifact.name == "bireg" else [(t,) for t in range(1, 5)]
     assignment = []
     for i in range(artifact.n_vars):
-        first: Role = ("p", (i,)) if artifact.name == "bireg" else ("p", (i, 1))
-        value = labels[index[first]]
-        if artifact.name != "bireg":
-            others = [labels[index[("p", (i, t))]] for t in range(1, 5)]
-            assert all(x == value for x in others), "gadget forcing violated"
-        assignment.append(value)
-    for j, pvars in enumerate(_clause_pvars(artifact)):
-        assert len({assignment[var] for _, var in pvars}) == 2, "clause balance violated"
+        values = {labels[index[("p", (i, *tail))]] for tail in tails}
+        if len(values) != 1:
+            raise RoleMapError(
+                f"the inputs of variable {i} disagree: the graph does not match its role map"
+            )
+        assignment.append(values.pop())
+    for j, pvars in enumerate(_clause_pvars(artifact, index)):
+        if len({assignment[var] for _, var in pvars}) != 2:
+            raise RoleMapError(
+                f"clause {j} is monochrome: the graph does not match its role map"
+            )
     return tuple(assignment)
 
 
@@ -388,48 +371,45 @@ def write_artifact(artifact: ReductionArtifact, base: Union[str, Path]) -> tuple
     graph_path = base.with_name(base.name + ".graph")
     roles_path = base.with_name(base.name + ".roles")
     graph_path.write_text(serialize_graph(artifact.graph), encoding="ascii")
-    lines = [
+    header = (
         f"reduction={artifact.name} mode={artifact.mode} "
         f"n={artifact.n_vars} k={artifact.n_clauses} r={artifact.r}"
-    ]
-    for v, (tag, idx) in enumerate(artifact.roles):
-        lines.append(" ".join([str(v), tag, *(str(x) for x in idx)]))
-    roles_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    )
+    roles_path.write_text("\n".join([header, *_records(artifact.roles)]) + "\n", encoding="ascii")
     return graph_path, roles_path
 
 
 def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
+    """Read <base>.graph and <base>.roles.  The header fixes every record,
+    so the records must be exactly those write_artifact writes; they are
+    compared with the header's layout, not parsed."""
     base = Path(base)
-    graph_path = base.with_name(base.name + ".graph")
-    roles_path = base.with_name(base.name + ".roles")
-    graph = parse_graph(graph_path.read_text(encoding="ascii"))
-    lines = roles_path.read_text(encoding="ascii").splitlines()
+    graph = parse_graph(base.with_name(base.name + ".graph").read_text(encoding="ascii"))
+    lines = base.with_name(base.name + ".roles").read_text(encoding="ascii").splitlines()
     if not lines:
         raise RoleMapError("empty role map")
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise RoleMapError(f"bad role-map header: {lines[0]!r}")
-    name, mode, n, k, r = m.group(1), m.group(2), int(m.group(3)), int(m.group(4)), int(m.group(5))
+    name, mode = m.group(1, 2)
+    n, k, r = map(int, m.group(3, 4, 5))
     if name not in REDUCTION_NAMES:
         raise RoleMapError(f"unknown reduction {name!r}")
-    roles: list[Role] = [("", ())] * graph.n
-    seen = [False] * graph.n
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) < 2:
-            raise RoleMapError(f"line {lineno}: expected 'vertex tag indices...'")
-        try:
-            v = int(parts[0])
-            idx = tuple(int(x) for x in parts[2:])
-        except ValueError:
-            raise RoleMapError(f"line {lineno}: non-integer field") from None
-        if not (0 <= v < graph.n) or seen[v]:
-            raise RoleMapError(f"line {lineno}: bad or repeated vertex {parts[0]}")
-        seen[v] = True
-        roles[v] = (parts[1], idx)
-    if not all(seen):
-        missing = seen.index(False)
-        raise RoleMapError(f"role map is not total (vertex {missing} missing)")
-    return ReductionArtifact(name, mode, graph, tuple(roles), n, k, r)
+    if mode != MODE_OF[name]:
+        raise RoleMapError(f"reduction {name} has mode {MODE_OF[name]}, not {mode}")
+    if (r > 0) != (name == "bireg"):
+        raise RoleMapError(f"r={r}: r is at least 1 for bireg and 0 otherwise")
+    order = sum(len(template) * count for template, count in _layout(name, n, k, r))
+    if order != graph.n:
+        raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")
+    roles = _roles(name, n, k, r)
+    expected, records = _records(roles), lines[1:]
+    if records != expected:
+        i = next(
+            (i for i, (a, b) in enumerate(zip(records, expected)) if a != b),
+            min(len(records), len(expected)),
+        )
+        want = repr(expected[i]) if i < len(expected) else "end of file"
+        found = repr(records[i]) if i < len(records) else "end of file"
+        raise RoleMapError(f"line {i + 2}: expected {want}, found {found}")
+    return ReductionArtifact(name, mode, graph, roles, n, k, r)

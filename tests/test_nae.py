@@ -4,7 +4,7 @@ import pytest
 
 from helpers import CANONICAL_N3, random_nae_instance
 from lb2p import NaeFormatError, brute_sat, nae_eval, parse_nae, serialize_nae
-from lb2p.nae import NaeInstance, occurrence_slot
+from lb2p.nae import NaeInstance, occurrence_slot, occurrence_slots
 
 
 def test_parse_canonical():
@@ -96,6 +96,34 @@ def test_occurrence_slots_scan_in_clause_order():
         slots = [occurrence_slot(inst, var, j) for j, c in enumerate(inst.clauses) if var in c]
         assert slots == [1, 2, 3, 4]
 
+
+
+def _instance_with_repeats(rng):
+    """A random instance on m variables next to blocks of three fresh
+    variables whose one clause is repeated four times, clauses shuffled."""
+    m, blocks = 3 * rng.randint(0, 4), rng.randint(1, 3)
+    clauses = list(random_nae_instance(m, rng).clauses) if m else []
+    for b in range(m, m + 3 * blocks, 3):
+        clauses += [(b, b + 1, b + 2)] * 4
+    rng.shuffle(clauses)
+    return NaeInstance.from_clauses(m + 3 * blocks, clauses)
+
+
+def test_occurrence_slots_match_occurrence_slot():
+    rng = random.Random(8)
+    repeated = 0
+    for trial in range(300):
+        if trial % 2:
+            inst = random_nae_instance(3 * rng.randint(1, 8), rng)
+        else:
+            inst = _instance_with_repeats(rng)
+        repeated += len(set(inst.clauses)) < inst.k
+        expected = [
+            tuple(occurrence_slot(inst, var, j) for var in clause)
+            for j, clause in enumerate(inst.clauses)
+        ]
+        assert occurrence_slots(inst) == expected
+    assert repeated >= 150
 
 def test_generator_produces_valid_instances():
     rng = random.Random(4)
