@@ -10,6 +10,14 @@ certificate that no valid partition exists.  Cycles of the original graph
 alternate sides, so their length is twice the number of high-side vertices
 they visit: length ≡ 2 (mod 4) exactly when that count is odd.
 
+Both branches start from one breadth-first search over the graph itself
+(``_bfs``), rooted at each component's smallest high-side vertex.  A
+degree-2 vertex whose two neighbours share a depth closes an odd cycle of
+the contraction; the certificate path stops at the first one and lifts it
+along the parent pointers, without building the contraction.  Otherwise
+the search runs to completion and its depths (mod 4) colour the high side,
+in one pass however many components the graph has.
+
 Every step of ``solve_biregular`` is linear in the size of the graph;
 loading the graph (``parse_graph``) adds one O(m log m) numpy sort.  The
 factor (Petersen's Euler-circuit argument) joins a hub to every vertex of
@@ -22,13 +30,14 @@ half edges the same way.  No step recurses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .balance import TwoPartition, check
-from .graphs import Bipartition, Graph, MultiGraph, bfs_distances, connected_components
+from .graphs import Bipartition, Graph, MultiGraph
+# Not called here: perfbench/tracer.py wraps these two by their names in this module.
+from .graphs import bfs_distances, connected_components  # noqa: F401
 
 __all__ = [
     "ReducedMultigraph",
@@ -269,68 +278,6 @@ def _double_cover_copies(m: MultiGraph, k: int) -> list[int]:
     return [used[2 * e] + used[2 * e + 1] for e in range(len(m.edges))]
 
 
-def _multigraph_odd_cycle(
-    m: MultiGraph,
-) -> Optional[tuple[list[int], list[int]]]:
-    """First odd cycle under BFS 2-coloring, or None if 2-colorable.
-
-    Returns (vertex list, edge-index list) with edge i joining vertex i to
-    vertex i+1 (cyclically).  Parallel edges are even 2-cycles and never
-    trigger a conflict.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(m.n)]
-    for eid, (u, v) in enumerate(m.edges):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    color = [-1] * m.n
-    parent = [-1] * m.n
-    parent_edge = [-1] * m.n
-    depth = [0] * m.n
-    for root in range(m.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w, eid in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
-                    parent_edge[w] = eid
-                    depth[w] = depth[u] + 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return _lca_cycle(u, w, eid, parent, parent_edge, depth)
-    return None
-
-
-def _lca_cycle(u, w, closing_edge, parent, parent_edge, depth):
-    path_u, path_w = [u], [w]
-    edges_u: list[int] = []
-    edges_w: list[int] = []
-    pu, pw = u, w
-    while depth[pu] > depth[pw]:
-        edges_u.append(parent_edge[pu])
-        pu = parent[pu]
-        path_u.append(pu)
-    while depth[pw] > depth[pu]:
-        edges_w.append(parent_edge[pw])
-        pw = parent[pw]
-        path_w.append(pw)
-    while pu != pw:
-        edges_u.append(parent_edge[pu])
-        pu = parent[pu]
-        path_u.append(pu)
-        edges_w.append(parent_edge[pw])
-        pw = parent[pw]
-        path_w.append(pw)
-    verts = path_u + list(reversed(path_w[:-1]))
-    edges = edges_u + list(reversed(edges_w)) + [closing_edge]
-    assert len(verts) == len(edges) and len(verts) % 2 == 1
-    return verts, edges
-
-
 def extract_cycle_2mod4(walk: list[int]) -> list[int]:
     """Reduce a closed walk of length ≡ 2 (mod 4) in a bipartite graph to a
     simple cycle of the same length class.
@@ -360,33 +307,77 @@ def extract_cycle_2mod4(walk: list[int]) -> list[int]:
 
 
 def _check_certificate(g: Graph, cycle: list[int]) -> CycleCertificate:
+    """The cycle as a certificate, or AssertionError if it is not a simple
+    cycle of g of length ≡ 2 (mod 4).  A raise, not an assert, so that it
+    also holds under ``python -O``."""
     length = len(cycle)
-    assert length % 4 == 2 and length >= 6
-    assert len(set(cycle)) == length, "certificate cycle is not simple"
+    if length % 4 != 2 or length < 6:
+        raise AssertionError(f"certificate cycle has length {length}, not 2 (mod 4) and >= 6")
+    if len(set(cycle)) != length:
+        raise AssertionError("certificate cycle is not simple")
     for i in range(length):
         u, v = cycle[i], cycle[(i + 1) % length]
-        assert g.has_edge(u, v), f"certificate pair ({u},{v}) is not an edge"
+        if not g.has_edge(u, v):
+            raise AssertionError(f"certificate pair ({u},{v}) is not an edge")
     return CycleCertificate(tuple(cycle))
 
 
-def _lift_walk(red: ReducedMultigraph, verts: list[int], edges: list[int]) -> list[int]:
-    walk = []
-    for i in range(len(verts)):
-        walk.append(red.y_vertices[verts[i]])
-        walk.append(red.x_of_edge[edges[i]])
-    return walk
+def _bfs(g: Graph) -> tuple[list[int], list[int], int]:
+    """Breadth-first search of a validated graph from each unreached
+    high-side vertex in index order; stops at the first conflict.
+
+    Returns (depth, parent, x).  x is the first degree-2 vertex popped whose
+    other neighbour (not ``parent[x]``) lies one level above it, or -1 when
+    the search ran to completion.  High-side depths are twice the depths of
+    the same search on the contraction, and ``g.adj[y]`` lists the degree-2
+    vertices in the order of the contraction's edge ids, so x closes the
+    odd cycle that a BFS 2-colouring of the contraction meets first.
+    """
+    adj = g.adj
+    depth = [-1] * g.n
+    parent = [-1] * g.n
+    for root in range(g.n):
+        if depth[root] >= 0 or len(adj[root]) == 2:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:  # the loop also visits what it appends
+            d = depth[v] + 1
+            if d % 2:  # v is a high-side vertex
+                for x in adj[v]:
+                    if depth[x] < 0:
+                        depth[x] = d
+                        parent[x] = v
+                        queue.append(x)
+            else:
+                w, other = adj[v]
+                if w == parent[v]:
+                    w = other
+                if depth[w] < 0:
+                    depth[w] = d
+                    parent[w] = v
+                    queue.append(w)
+                elif depth[w] == d - 2:
+                    return depth, parent, v
+    return depth, parent, -1
 
 
-def _contract(
-    g: Graph,
-) -> Union[tuple[Bipartition, ReducedMultigraph, Optional[tuple[list[int], list[int]]]], NotApplicable]:
-    """Validate, contract, and look for an odd cycle of the contraction."""
-    va = validate_2odd_biregular(g)
-    if isinstance(va, NotApplicable):
-        return va
-    bip, k = va
-    red = build_reduced(g, bip, k)
-    return bip, red, _multigraph_odd_cycle(red.graph)
+def _conflict_walk(g: Graph, parent: list[int], x: int) -> list[int]:
+    """The closed walk through the conflict x of ``_bfs``: from
+    ``parent[x]`` up the tree to the lowest common ancestor, down to x's
+    other neighbour, then through x.  Both ends of x have the same even
+    depth, so the walk climbs an even number h of levels and its length
+    2h + 2 is ≡ 2 (mod 4)."""
+    u = parent[x]
+    w, other = g.adj[x]
+    if w == u:
+        w = other
+    up, down = [u], [w]
+    while u != w:
+        u, w = parent[u], parent[w]
+        up.append(u)
+        down.append(w)
+    return up + down[-2::-1] + [x]
 
 
 def has_bad_cycle(g: Graph) -> bool:
@@ -395,40 +386,38 @@ def has_bad_cycle(g: Graph) -> bool:
     Equivalent to the reduced multigraph having an odd cycle; this
     equivalence depends on the degree-2 side and holds only for this class.
     """
-    contracted = _contract(g)
-    if isinstance(contracted, NotApplicable):
-        raise ValueError(f"not applicable: {contracted.reason}")
-    return contracted[2] is not None
+    va = validate_2odd_biregular(g)
+    if isinstance(va, NotApplicable):
+        raise ValueError(f"not applicable: {va.reason}")
+    return _bfs(g)[2] >= 0
 
 
 def solve_biregular(g: Graph) -> Union[Witness, Certificate, NotApplicable]:
     """Witness partition or certificate cycle for a degree-(2,2k+1) graph.
 
-    Exactly one of the two is returned on validated inputs; the witness is
-    asserted against the open-mode checker before being released.
+    Exactly one of the two is returned on validated inputs.  Each is checked
+    before it is released (the witness against the open-mode checker), by
+    raises that also hold under ``python -O``.
     """
-    contracted = _contract(g)
-    if isinstance(contracted, NotApplicable):
-        return contracted
-    bip, red, odd = contracted
-    if odd is not None:
-        verts, edges = odd
-        walk = _lift_walk(red, verts, edges)
-        cycle = extract_cycle_2mod4(walk)
+    va = validate_2odd_biregular(g)
+    if isinstance(va, NotApplicable):
+        return va
+    depth, parent, x = _bfs(g)
+    if x >= 0:
+        cycle = extract_cycle_2mod4(_conflict_walk(g, parent, x))
         return Certificate(_check_certificate(g, cycle))
 
+    # Each component's root is its smallest high-side vertex; a high-side
+    # vertex at distance 0 (mod 4) from it gets label 1, every other 0.
+    # Degree-2 vertices have odd depth and get 1 exactly on factor edges.
+    bip, k = va
+    red = build_reduced(g, bip, k)
     factor = kk1_factor(red.graph, red.k)
-    labels = [0] * g.n
-    for eid, x in enumerate(red.x_of_edge):
-        labels[x] = 1 if eid in factor.edges else 0
-    for comp in connected_components(g):
-        comp_ys = [v for v in comp if v in bip.side_y]
-        ybar = comp_ys[0]
-        dist = bfs_distances(g, ybar)
-        for y in comp_ys:
-            d = dist[y]
-            assert d is not None and d % 2 == 0
-            labels[y] = 1 if d % 4 == 0 else 0
+    labels = [1 if d % 4 == 0 else 0 for d in depth]
+    for e in factor.edges:
+        labels[red.x_of_edge[e]] = 1
     partition = TwoPartition(tuple(labels))
-    assert not check(g, partition, "open"), "constructed witness failed the checker"
+    violations = check(g, partition, "open")
+    if violations:
+        raise AssertionError(f"constructed witness failed the checker (violations at {violations})")
     return Witness(partition)

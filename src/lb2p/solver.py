@@ -300,7 +300,8 @@ def propagate(cs: ConstraintSystem, partial) -> PropagationResult:
 
 def _assert_sound(g: Graph, witness: TwoPartition, mode: str, waived: frozenset[int]) -> None:
     bad = [v for v in check(g, witness, mode) if v not in waived]
-    assert not bad, f"solver produced an invalid witness (violations at {bad})"
+    if bad:  # a raise, not an assert, so that it also holds under python -O
+        raise AssertionError(f"solver produced an invalid witness (violations at {bad})")
 
 
 def decide(

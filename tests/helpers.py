@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from itertools import combinations
+from pathlib import Path
 
-from lb2p import Graph, GraphFormatError, MultiGraph
+import lb2p
+from lb2p import Graph, GraphFormatError, MultiGraph, TwoPartition
+from lb2p.biregular import (
+    Certificate,
+    Witness,
+    _check_certificate,
+    build_reduced,
+    extract_cycle_2mod4,
+    kk1_factor,
+    validate_2odd_biregular,
+)
+from lb2p.graphs import bfs_distances, connected_components
 from lb2p.nae import NaeInstance
 
 
@@ -66,15 +82,17 @@ def random_regular_multigraph(n: int, r: int, rng: random.Random, tries: int = 2
     raise RuntimeError("failed to sample a loop-free pairing")
 
 
+def subdivide_multigraph(mg: MultiGraph) -> Graph:
+    """The (2,r)-biregular graph of an r-regular multigraph: high side
+    0..n-1, then one degree-2 vertex per edge, in edge order."""
+    edges = [(u, mg.n + i) for i, uv in enumerate(mg.edges) for u in uv]
+    return Graph.from_edges(mg.n + len(mg.edges), edges)
+
+
 def random_biregular(m: int, b: int, rng: random.Random) -> Graph:
     """A (2,b)-biregular graph: high side 0..m-1, one degree-2 vertex per
     edge of a sampled b-regular multigraph."""
-    mg = random_regular_multigraph(m, b, rng)
-    edges = []
-    for i, (u, v) in enumerate(mg.edges):
-        x = m + i
-        edges += [(u, x), (v, x)]
-    return Graph.from_edges(m + len(mg.edges), edges)
+    return subdivide_multigraph(random_regular_multigraph(m, b, rng))
 
 
 def cycle_union_multigraph(n: int, r: int, rng: random.Random) -> MultiGraph:
@@ -153,6 +171,19 @@ def reference_parse_graph(text: str) -> Graph:
     return Graph(n, tuple(tuple(sorted(a)) for a in adj))
 
 
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a ``python -O`` subprocess (asserts stripped) that
+    imports this checkout's lb2p and these helpers."""
+    path = [str(Path(lb2p.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        timeout=60,
+    )
+
+
 def random_nae_instance(n: int, rng: random.Random, tries: int = 20000) -> NaeInstance:
     """A valid instance: every variable in exactly four clauses, each clause
     three distinct variables."""
@@ -199,3 +230,95 @@ def reference_propagate(g: Graph, mode: str, partial, waived=frozenset()) -> tup
                         label[u] = 1 if t_set[0] > 0 else 0
                 changed = True
     return label, False
+
+
+def _multigraph_odd_cycle(m: MultiGraph):
+    """First odd cycle under BFS 2-coloring, or None if 2-colorable.
+
+    Returns (vertex list, edge-index list) with edge i joining vertex i to
+    vertex i+1 (cyclically).  Parallel edges are even 2-cycles and never
+    trigger a conflict.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(m.n)]
+    for eid, (u, v) in enumerate(m.edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    color = [-1] * m.n
+    parent = [-1] * m.n
+    parent_edge = [-1] * m.n
+    depth = [0] * m.n
+    for root in range(m.n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w, eid in adj[u]:
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    parent[w] = u
+                    parent_edge[w] = eid
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return _lca_cycle(u, w, eid, parent, parent_edge, depth)
+    return None
+
+
+def _lca_cycle(u, w, closing_edge, parent, parent_edge, depth):
+    path_u, path_w = [u], [w]
+    edges_u: list[int] = []
+    edges_w: list[int] = []
+    pu, pw = u, w
+    while depth[pu] > depth[pw]:
+        edges_u.append(parent_edge[pu])
+        pu = parent[pu]
+        path_u.append(pu)
+    while depth[pw] > depth[pu]:
+        edges_w.append(parent_edge[pw])
+        pw = parent[pw]
+        path_w.append(pw)
+    while pu != pw:
+        edges_u.append(parent_edge[pu])
+        pu = parent[pu]
+        path_u.append(pu)
+        edges_w.append(parent_edge[pw])
+        pw = parent[pw]
+        path_w.append(pw)
+    verts = path_u + list(reversed(path_w[:-1]))
+    edges = edges_u + list(reversed(edges_w)) + [closing_edge]
+    assert len(verts) == len(edges) and len(verts) % 2 == 1
+    return verts, edges
+
+
+def _lift_walk(red, verts: list[int], edges: list[int]) -> list[int]:
+    walk = []
+    for i in range(len(verts)):
+        walk.append(red.y_vertices[verts[i]])
+        walk.append(red.x_of_edge[edges[i]])
+    return walk
+
+
+def reference_solve_biregular(g: Graph):
+    """The contraction route, kept as an oracle for ``solve_biregular``:
+    build the whole contracted multigraph, BFS 2-colour it, lift its first
+    odd cycle; otherwise colour each component by distance (mod 4) from its
+    smallest high-side vertex.  For validated graphs only; returns
+    (result, has_bad_cycle)."""
+    bip, k = validate_2odd_biregular(g)
+    red = build_reduced(g, bip, k)
+    odd = _multigraph_odd_cycle(red.graph)
+    if odd is not None:
+        cycle = extract_cycle_2mod4(_lift_walk(red, *odd))
+        return Certificate(_check_certificate(g, cycle)), True
+    factor = kk1_factor(red.graph, red.k)
+    labels = [0] * g.n
+    for eid, x in enumerate(red.x_of_edge):
+        labels[x] = 1 if eid in factor.edges else 0
+    for comp in connected_components(g):
+        comp_ys = [v for v in comp if v in bip.side_y]
+        dist = bfs_distances(g, comp_ys[0])
+        for y in comp_ys:
+            labels[y] = 1 if dist[y] % 4 == 0 else 0
+    return Witness(TwoPartition(tuple(labels))), False

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -10,9 +11,13 @@ from helpers import (
     complete_bipartite,
     cycle,
     cycle_union_multigraph,
+    disjoint_union,
     random_biregular,
     random_regular_multigraph,
+    reference_solve_biregular,
+    run_optimized,
     subdivide,
+    subdivide_multigraph,
 )
 from lb2p import (
     Certificate,
@@ -320,3 +325,80 @@ def test_cycle_length_is_twice_high_side_count():
             assert len(res.cycle.vertices) == 2 * len(ys)
             assert len(ys) % 2 == 1
     assert seen > 0
+
+
+def test_search_matches_contraction_route():
+    """The one BFS over the graph gives the same certificate cycle, the same
+    witness and the same has_bad_cycle verdict as BFS 2-colouring the whole
+    contraction, on graphs whose parts interleave in index order."""
+    rng = random.Random(4099)
+    seen = {"cert": 0, "witness": 0, "disconnected": 0, "parallel": 0}
+    for _ in range(2000):
+        b = rng.choice([3, 5, 9])
+        parts = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            if rng.random() < 0.5:
+                parts.append(bipartite_witness_graph(rng.randint(1, 4), b, rng))
+            else:
+                m = rng.randint(2, 10)
+                m += m % 2  # odd b needs an even high side
+                parts.append(subdivide_multigraph(_sample_regular(m, b, rng)))
+        g = disjoint_union(parts, rng if rng.random() < 0.8 else None)
+        expected, bad = reference_solve_biregular(g)
+        assert solve_biregular(g) == expected
+        assert has_bad_cycle(g) is bad
+        seen["cert" if bad else "witness"] += 1
+        seen["disconnected"] += len(parts) > 1
+        pairs = [g.adj[x] for x in range(g.n) if len(g.adj[x]) == 2]
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert min(seen.values()) >= 300, seen
+
+
+def test_search_matches_contraction_route_at_1e5_vertices():
+    g = subdivide_multigraph(cycle_union_multigraph(40_000, 3, random.Random(61)))
+    assert g.n == 100_000
+    expected, bad = reference_solve_biregular(g)
+    assert bad and isinstance(expected, Certificate)
+    assert solve_biregular(g) == expected
+    assert has_bad_cycle(g)
+
+
+def test_many_components_witness_is_linear():
+    """20000 disjoint K_{2,3}: one search colours every component; a
+    distance pass per component would be quadratic in their number."""
+    g = disjoint_union([complete_bipartite(2, 3)] * 20_000)
+    start = time.perf_counter()
+    res = solve_biregular(g)
+    elapsed = time.perf_counter() - start
+    assert isinstance(res, Witness)
+    assert not check(g, res.partition, "open")
+    assert elapsed < 3.0, f"solve_biregular took {elapsed:.2f} s on 20000 components"
+
+
+@pytest.mark.parametrize(
+    "broken,graph,message",
+    [
+        (
+            "b.kk1_factor = lambda m, k: b.FactorResult(frozenset(), ())",
+            "complete_bipartite(2, 3)",
+            "constructed witness failed the checker",
+        ),
+        (
+            "b.extract_cycle_2mod4 = lambda walk: walk + walk[:4]",
+            "subdivide(complete(4))",
+            "certificate cycle is not simple",
+        ),
+    ],
+    ids=["witness", "certificate"],
+)
+def test_unchecked_answer_raises_under_optimize_flag(broken, graph, message):
+    """With a step broken, solve_biregular still refuses to release the
+    answer under python -O: its checks are raises, not asserts."""
+    proc = run_optimized(
+        "import lb2p.biregular as b\n"
+        "from helpers import complete, complete_bipartite, subdivide\n"
+        f"{broken}\n"
+        f"print(b.solve_biregular({graph}))\n"
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert f"AssertionError: {message}" in proc.stderr

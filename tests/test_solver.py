@@ -12,6 +12,7 @@ from helpers import (
     path,
     random_nae_instance,
     reference_propagate,
+    run_optimized,
 )
 from lb2p import (
     BudgetExceededError,
@@ -315,3 +316,19 @@ def test_search_is_iterative_on_long_cycle():
         # descends thousands of levels before the budget runs out
         enumerate_partitions(g, "closed", node_budget=5000)
     assert sys.getrecursionlimit() == limit
+
+
+def test_unsound_witness_raises_under_optimize_flag():
+    """With a search that labels nothing, decide's own check still refuses
+    the all-zero labelling of C4 under python -O: it is a raise, not an
+    assert."""
+    proc = run_optimized(
+        "import lb2p.solver as s\n"
+        "from helpers import cycle\n"
+        "def search(self, order, symmetric=False):\n"
+        "    yield\n"
+        "s._Search.search = search\n"
+        "print(s.decide(cycle(4), 'open'))\n"
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "AssertionError: solver produced an invalid witness" in proc.stderr
