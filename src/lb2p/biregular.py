@@ -122,10 +122,12 @@ def validate_2odd_biregular(
     if not xs:
         return NotApplicable("no degree-2 side")
     ys = [v for v in range(g.n) if degs[v] == b]
-    # No edge lies inside X iff every neighbor of X has degree b.  Then the
-    # 2|X| edges leaving X fill all b|Y| edge ends on Y iff none lies inside Y.
-    x_neighbors = chain.from_iterable(map(g.adj.__getitem__, xs))
-    if b * len(ys) != 2 * len(xs) or set(map(degs.__getitem__, x_neighbors)) != {b}:
+    # No edge lies inside X iff every neighbor of X has degree b, that is (every
+    # degree being 2 or b > 2) iff the 2|X| neighbor degrees of X sum to 2|X|b.
+    # Then the 2|X| edges leaving X fill all b|Y| edge ends on Y iff none lies
+    # inside Y.
+    x_neighbors = map(g.adj.__getitem__, xs)
+    if b * len(ys) != 2 * len(xs) or sum([degs[u] + degs[v] for u, v in x_neighbors]) != 2 * len(xs) * b:
         u, v = next((u, v) for u, v in g.edges() if (degs[u] == 2) == (degs[v] == 2))
         return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
     return Bipartition(frozenset(xs), frozenset(ys)), (b - 1) // 2

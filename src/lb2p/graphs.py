@@ -5,9 +5,12 @@ sorted adjacency lists; ``MultiGraph`` keeps a raw edge list and allows
 parallel edges but never self-loops.  Both are immutable after construction,
 so instances can be shared freely across threads.
 
-Edges are validated once: ``parse_graph`` only tokenises the document, and
-one numpy pass over the endpoints (shared with ``Graph.from_edges``) checks
-range, loops and repeats and builds the sorted adjacency.
+Edges are validated once.  ``parse_graph`` scans the document once in
+numpy, with no Python string per line or token: the whitespace positions
+give the token bounds and lines, and the endpoints are converted a digit
+place at a time.  One numpy pass over the endpoints (shared with
+``Graph.from_edges``) then checks range, loops and repeats and builds the
+sorted adjacency.
 """
 
 from __future__ import annotations
@@ -209,21 +212,115 @@ class ClassReport:
     biregular: Optional[tuple[int, int]]
 
 
+# Character classes of the tokeniser: 0 a token character, 1 whitespace
+# (``str.split``), 2 a line boundary (``str.splitlines``; also whitespace).
+# Code points 0..32 are looked up in ``_LOW_CLASS``; every other whitespace
+# code point is one of ``_HIGH_CODES``, all at or above 0x85.
+_LOW_CLASS = np.zeros(33, dtype=np.uint8)
+_LOW_CLASS[[9, 31, 32]] = 1
+_LOW_CLASS[[10, 11, 12, 13, 28, 29, 30]] = 2
+_HIGH_CODES = np.array(
+    [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000], dtype=np.uint32
+)
+_HIGH_CLASS = np.array([2, 1, 1, *[1] * 11, 2, 2, 1, 1, 1], dtype=np.uint8)
+
+
+def _tokens(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The code points of ``text`` (uint8 if it is ASCII, else uint32), each
+    token's [start, stop) and 0-based line, and the position of each line
+    boundary (for a CR LF pair, that of the CR)."""
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        pos = np.flatnonzero(codes <= 32)
+        cls = _LOW_CLASS[codes[pos]]
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        pos = np.flatnonzero((codes <= 32) | (codes >= 0x85))
+        chars = codes[pos]
+        high = np.searchsorted(_HIGH_CODES, chars).clip(max=len(_HIGH_CODES) - 1)
+        high_cls = _HIGH_CLASS[high] * (_HIGH_CODES[high] == chars)
+        cls = np.where(chars <= 32, _LOW_CLASS[chars.clip(max=32)], high_cls)
+    keep = cls > 0
+    space, ends_line = pos[keep], cls[keep] == 2
+    if "\r\n" in text:  # its "\n" ends no line of its own
+        crlf = np.flatnonzero(ends_line)
+        at = space[crlf]
+        ends_line[crlf[(codes[at] == 10) & (codes[np.maximum(at - 1, 0)] == 13)]] = False
+    bounds = np.concatenate(([-1], space, [len(codes)]))
+    gaps = np.flatnonzero(np.diff(bounds) > 1)
+    line_of = np.concatenate(([0], np.cumsum(ends_line)))[gaps]
+    return codes, bounds[gaps] + 1, bounds[gaps + 1], line_of, space[ends_line]
+
+
+def _line(text: str, breaks: np.ndarray, i: int) -> str:
+    """Line i (0-based) of ``text`` without its boundary, as ``str.splitlines``
+    gives it; ``breaks`` are the boundary positions from ``_tokens``."""
+    start = 0
+    if i:
+        at = int(breaks[i - 1])
+        start = at + (2 if text.startswith("\r\n", at) else 1)
+    return text[start : int(breaks[i]) if i < len(breaks) else len(text)]
+
+
+def _endpoints(
+    text: str, codes: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, Optional[int]]:
+    """``int()`` of each token ``text[starts[i]:stops[i]]`` as int64, -1 for a
+    value beyond int64, and the index of the first token ``int()`` rejects
+    (None if there is none).
+
+    Tokens of at most 18 ASCII digits, all below 2**63, are converted
+    together, one digit place at a time over the tokens sorted by length.
+    Every other token goes through ``int()``.
+    """
+    lengths = np.minimum(stops - starts, 19).astype(np.uint8)
+    order = np.argsort(lengths, kind="stable")  # a radix sort on uint8
+    lengths, first = lengths[order], starts[order]
+    value = np.zeros(len(order), dtype=np.int64)
+    other = lengths > 18
+    # The sorted tokens from cut[p] on are longer than p characters, and those
+    # before cut[18] have at most 18.
+    cut = np.searchsorted(lengths, np.arange(19), side="right").tolist()
+    short = cut[18]
+    for place, live in enumerate(cut[:18]):
+        if live == short:
+            break
+        digit = codes[first[live:short] + place] - 48  # wraps below "0"
+        other[live:short] |= digit > 9
+        value[live:short] *= 10
+        value[live:short] += digit
+    values = np.empty_like(value)
+    values[order] = value
+    for i in np.sort(order[other]).tolist():
+        try:
+            x = int(text[starts[i] : stops[i]])
+        except ValueError:
+            return values, i
+        values[i] = x if -(2**63) <= x < 2**63 else -1
+    return values, None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: header line ``n m`` then m lines ``u v``.
 
     Rejects malformed lines, out-of-range indices, loops, and duplicate
     edges, each reported with its line number; the first offending line in
     the document is the one reported.
+
+    Lines and tokens are those of ``str.splitlines`` and ``str.split``, and
+    endpoints are ``int()`` of their tokens, but the document is scanned once
+    in numpy: the whitespace positions give the token bounds, each token's
+    line and each line's token count.
     """
-    lines = text.splitlines()
-    if not lines:
+    codes, starts, stops, line_of, breaks = _tokens(text)
+    nlines = len(breaks) + (_line(text, breaks, len(breaks)) != "")
+    if not nlines:
         raise GraphFormatError("header", "empty document", 1)
-    head = lines[0].split()
-    if len(head) != 2:
+    widths = np.bincount(line_of, minlength=nlines)
+    if widths[0] != 2:
         raise GraphFormatError("header", "expected header 'n m'", 1)
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = (int(text[a:b]) for a, b in zip(starts[:2].tolist(), stops[:2].tolist()))
     except ValueError:
         raise GraphFormatError("header", "expected two integers in header", 1) from None
     if n < 0 or m < 0:
@@ -232,44 +329,35 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("header", f"vertex count {n} exceeds {MAX_VERTICES}", 1)
 
     pending: Optional[GraphFormatError] = None  # a line error after the edges read
-    widths = list(map(len, map(str.split, lines[1:])))
-    if not set(widths) <= {0, 2}:
-        stop = next(i for i, w in enumerate(widths) if w not in (0, 2))
-        pending = GraphFormatError("malformed", f"expected 'u v', got {lines[stop + 1]!r}", stop + 2)
-        widths = widths[:stop]
-    edge_line: Sequence[int] = range(2, len(widths) + 2)  # the line of each edge
-    if 0 in widths:
-        edge_line = [i + 2 for i, w in enumerate(widths) if w]
+    widths = widths[1:]
+    stop = len(widths)
+    malformed = np.flatnonzero((widths != 0) & (widths != 2))
+    if len(malformed):
+        stop = int(malformed[0])
+        raw = _line(text, breaks, stop + 1)
+        pending = GraphFormatError("malformed", f"expected 'u v', got {raw!r}", stop + 2)
     # Every line boundary is whitespace, so after the header's two tokens the
     # document's tokens are those of the edge lines, in order.
-    tokens = text.split()[2 : 2 + 2 * len(edge_line)]
-    flat: Sequence[int]
-    try:
-        ends = np.array(tokens, dtype=np.int64).reshape(-1, 2)  # int() of each token
-        flat = ends.ravel()
-    except (ValueError, OverflowError):
-        flat = []
-        for token in tokens:
-            try:
-                flat.append(int(token))
-            except ValueError:
-                bad = len(flat) // 2
-                del flat[2 * bad :]
-                raw = lines[edge_line[bad] - 1]
-                pending = GraphFormatError("malformed", f"non-integer endpoint in {raw!r}", edge_line[bad])
-                break
-        ends = _int64_ends(flat)
+    count = 2 + int(widths[:stop].sum())
+    values, bad = _endpoints(text, codes, starts[2:count], stops[2:count])
+    edge_line = line_of[2:count:2] + 1  # the line of each edge
+    del codes, starts, stops, line_of, widths  # free the scan before the adjacency
+    if bad is not None:
+        line = int(edge_line[bad // 2])
+        values = values[: bad - bad % 2]
+        raw = _line(text, breaks, line - 1)
+        pending = GraphFormatError("malformed", f"non-integer endpoint in {raw!r}", line)
+    ends = values.reshape(-1, 2)
     try:
         adj = _adjacency(n, ends)
     except _EdgeError as exc:
-        u, v = flat[2 * exc.index], flat[2 * exc.index + 1]
-        raise GraphFormatError(exc.kind, _describe(exc.kind, u, v), edge_line[exc.index]) from None
+        line = int(edge_line[exc.index])
+        u, v = map(int, _line(text, breaks, line - 1).split())
+        raise GraphFormatError(exc.kind, _describe(exc.kind, u, v), line) from None
     if pending is not None:
         raise pending
-    if len(flat) // 2 != m:
-        raise GraphFormatError(
-            "truncated", f"header promises {m} edges, found {len(flat) // 2}", len(lines)
-        )
+    if len(ends) != m:
+        raise GraphFormatError("truncated", f"header promises {m} edges, found {len(ends)}", nlines)
     return Graph(n, adj)
 
 

@@ -11,7 +11,7 @@ from itertools import combinations
 from pathlib import Path
 
 import lb2p
-from lb2p import Graph, GraphFormatError, MultiGraph, TwoPartition
+from lb2p import Bipartition, Graph, GraphFormatError, MultiGraph, NotApplicable, TwoPartition
 from lb2p.biregular import (
     Certificate,
     Witness,
@@ -169,6 +169,29 @@ def reference_parse_graph(text: str) -> Graph:
             "truncated", f"header promises {m} edges, found {len(seen)}", lineno
         )
     return Graph(n, tuple(tuple(sorted(a)) for a in adj))
+
+
+def reference_validate_2odd_biregular(g: Graph):
+    """``validate_2odd_biregular`` with the class test made edge by edge,
+    kept as an oracle: the same result, or the same ``NotApplicable``."""
+    if g.n == 0:
+        return NotApplicable("empty graph")
+    degs = g.degrees()
+    high = sorted({d for d in degs if d != 2})
+    if not high:
+        return NotApplicable("degrees (2,2); 2 is not 2k+1 with k >= 1")
+    if len(high) > 1:
+        return NotApplicable(f"more than two degree values: {high}")
+    b = high[0]
+    if b % 2 == 0 or b < 3:
+        return NotApplicable(f"high-side degree {b} is not 2k+1 with k >= 1")
+    xs = frozenset(v for v in range(g.n) if degs[v] == 2)
+    if not xs:
+        return NotApplicable("no degree-2 side")
+    for u, v in g.edges():
+        if (u in xs) == (v in xs):
+            return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
+    return Bipartition(xs, frozenset(range(g.n)) - xs), (b - 1) // 2
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:

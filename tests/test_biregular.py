@@ -15,6 +15,7 @@ from helpers import (
     random_biregular,
     random_regular_multigraph,
     reference_solve_biregular,
+    reference_validate_2odd_biregular,
     run_optimized,
     subdivide,
     subdivide_multigraph,
@@ -327,13 +328,11 @@ def test_cycle_length_is_twice_high_side_count():
     assert seen > 0
 
 
-def test_search_matches_contraction_route():
-    """The one BFS over the graph gives the same certificate cycle, the same
-    witness and the same has_bad_cycle verdict as BFS 2-colouring the whole
-    contraction, on graphs whose parts interleave in index order."""
-    rng = random.Random(4099)
-    seen = {"cert": 0, "witness": 0, "disconnected": 0, "parallel": 0}
-    for _ in range(2000):
+def _interleaved_graphs(rng, count):
+    """(2,b)-biregular graphs, b in {3, 5, 9}, with witnesses, certificates,
+    parallel contracted edges, and parts that interleave in index order;
+    yields each with its number of parts."""
+    for _ in range(count):
         b = rng.choice([3, 5, 9])
         parts = []
         for _ in range(rng.choice([1, 1, 2, 3])):
@@ -343,15 +342,46 @@ def test_search_matches_contraction_route():
                 m = rng.randint(2, 10)
                 m += m % 2  # odd b needs an even high side
                 parts.append(subdivide_multigraph(_sample_regular(m, b, rng)))
-        g = disjoint_union(parts, rng if rng.random() < 0.8 else None)
+        yield disjoint_union(parts, rng if rng.random() < 0.8 else None), len(parts)
+
+
+def test_search_matches_contraction_route():
+    """The one BFS over the graph gives the same certificate cycle, the same
+    witness and the same has_bad_cycle verdict as BFS 2-colouring the whole
+    contraction, on graphs whose parts interleave in index order."""
+    seen = {"cert": 0, "witness": 0, "disconnected": 0, "parallel": 0}
+    for g, parts in _interleaved_graphs(random.Random(4099), 2000):
         expected, bad = reference_solve_biregular(g)
         assert solve_biregular(g) == expected
         assert has_bad_cycle(g) is bad
         seen["cert" if bad else "witness"] += 1
-        seen["disconnected"] += len(parts) > 1
+        seen["disconnected"] += parts > 1
         pairs = [g.adj[x] for x in range(g.n) if len(g.adj[x]) == 2]
         seen["parallel"] += len(set(pairs)) < len(pairs)
     assert min(seen.values()) >= 300, seen
+
+
+def test_validate_matches_edge_by_edge_reference():
+    """The degree-sum class test agrees with testing every edge, on the
+    graphs above and on two edits of each: swapping the ends of two edges,
+    which keeps every degree, and joining two degree-2 vertices."""
+    seen = {"valid": 0, "swapped": 0, "joined": 0}
+    rng = random.Random(4100)
+    for g, _ in _interleaved_graphs(random.Random(4099), 2000):
+        assert validate_2odd_biregular(g) == reference_validate_2odd_biregular(g)
+        seen["valid"] += 1
+        edges = g.edges()
+        (y1, x1), (y2, x2) = (sorted(e, key=g.degree, reverse=True) for e in rng.sample(edges, 2))
+        if x1 == x2 or y1 == y2:
+            continue
+        swapped = [e for e in edges if {*e} not in ({y1, x1}, {y2, x2})] + [(y1, y2), (x1, x2)]
+        for kind, edited in (("swapped", swapped), ("joined", edges + [(x1, x2)])):
+            h = Graph.from_edges(g.n, edited)
+            expected = reference_validate_2odd_biregular(h)
+            assert isinstance(expected, NotApplicable)
+            assert validate_2odd_biregular(h) == expected
+            seen[kind] += 1
+    assert min(seen.values()) >= 1000, seen
 
 
 def test_search_matches_contraction_route_at_1e5_vertices():

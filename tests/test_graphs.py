@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from lb2p import (
     serialize_graph,
 )
 from lb2p.gadgets import gadget_f2
-from lb2p.graphs import MAX_VERTICES, DuplicateAttachmentError, NonInputAttachmentError
+from lb2p.graphs import MAX_VERTICES, DuplicateAttachmentError, NonInputAttachmentError, _tokens
 
 
 def test_parse_k2():
@@ -77,6 +78,10 @@ def test_parse_reports_first_offending_line(text, kind, line):
 _TOKEN = st.one_of(
     st.integers(-1, 5).map(str),
     st.sampled_from(["+1", "-2", "007", str(10**30), str(-(10**30)), "1.5", "x", "1e3"]),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1]).map(str),
+    st.sampled_from(["1_0", "\u0661", "+0"]),
+    st.sampled_from(["1\x002", "\x013", "3\x01", "\ud800"]),
+    st.sampled_from(["0" * 17 + "3", "9" * 18, "0" * 18 + "2", "9" * 19, "0" * 19 + "4", "1" * 20]),
 )
 _LINE = st.one_of(
     st.tuples(_TOKEN, st.sampled_from([" ", "\t", "  ", " \t ", "\xa0", "\x1f"]), _TOKEN).map("".join),
@@ -116,6 +121,56 @@ def _parse_outcome(parse, text):
 @given(_edge_documents())
 def test_parse_matches_line_by_line_reference(text):
     assert _parse_outcome(parse_graph, text) == _parse_outcome(reference_parse_graph, text)
+
+
+_SEPARATORS = [" ", "\t", "  ", " \t", "\x1f", "\xa0", "\u3000"]
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x1e", "\x85", "\u2028"]
+
+
+def _multi_digit_document(rng: random.Random, size: int) -> str:
+    """Up to ``size`` edges on up to 10**6 vertices with mixed separators and
+    line ends, blank lines and leading zeros; often one faulty line."""
+    n = max(rng.choice([2, 30, 10**4, 10**6, rng.randint(2, 10**6)]), size // 10)
+    m = rng.randint(0, min(size, n * (n - 1) // 2) // 2) * 2
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(m)}
+    lines = [f"{u} {v}" for u, v in edges if u != v]
+    if rng.random() < 0.5 and lines:  # one fault on a random line
+        faults = ["0 0", f"0 {n}", f"{n * 10**13} 1", "1 2 3", "4", "1 x", lines[0], f"0{10**18} 1"]
+        lines[rng.randrange(len(lines))] = rng.choice(faults)
+    seps, ends = rng.sample(_SEPARATORS, rng.randint(1, 3)), rng.sample(_LINE_ENDS, rng.randint(1, 3))
+    if rng.random() < 0.7:
+        seps, ends = [" "], rng.choice([["\n"], ["\r\n"]])
+    out = [f"{n} {len(lines) + rng.choice([0, 0, 0, 1])}"]
+    for line in lines:
+        if rng.random() < 0.05:
+            line = "0" * rng.randint(1, 20) + line
+        out.append(line.replace(" ", rng.choice(seps)))
+        if rng.random() < 0.02:
+            out.append(rng.choice(["", " ", "\t"]))
+    text = "".join(line + rng.choice(ends) for line in out)
+    return text if rng.random() < 0.5 else text.rstrip("".join(_LINE_ENDS))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_parse_multi_digit_documents_match_reference(seed):
+    rng = random.Random(seed)
+    text = _multi_digit_document(rng, 10**5 if seed < 3 else 3000)
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(reference_parse_graph, text)
+
+
+def test_character_classes_match_str_methods():
+    """The tokeniser's whitespace is ``str.isspace`` and its line boundaries
+    are those of ``str.splitlines``, over every code point; ASCII text takes
+    the uint8 route and any other text the uint32 route."""
+    everything = "".join(map(chr, range(0x110000)))
+    for text in (everything[:128], everything):
+        _, starts, stops, _, breaks = _tokens(text)
+        inside = np.zeros(len(text) + 1, dtype=np.int64)
+        np.add.at(inside, starts, 1)
+        np.add.at(inside, stops, -1)
+        space = np.flatnonzero(np.cumsum(inside[:-1]) == 0).tolist()
+        assert space == [c for c, ch in enumerate(text) if ch.isspace()]
+        assert breaks.tolist() == [c for c in space if len(f"a{text[c]}b".splitlines()) == 2]
 
 
 def test_from_edges_reports_first_bad_edge():
