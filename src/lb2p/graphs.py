@@ -210,6 +210,7 @@ class ClassReport:
     is_odd: bool
     max_degree: int
     biregular: Optional[tuple[int, int]]
+    is_bipartite: bool
 
 
 # Character classes of the tokeniser: 0 a token character, 1 whitespace
@@ -440,7 +441,8 @@ def _biregular_pair(g: Graph, color: list[int], comp: list[int]) -> Optional[tup
 
 
 def classify(g: Graph) -> ClassReport:
-    """Degree-class report: even/odd graph flags, max degree, biregular pair.
+    """Degree-class report: even/odd graph flags, max degree, biregular
+    pair, and whether the graph is bipartite, all from one 2-colouring.
 
     ``biregular`` is present iff the graph is bipartite and admits a
     bipartition with one side a-regular and the other b-regular (a <= b).
@@ -453,7 +455,7 @@ def classify(g: Graph) -> ClassReport:
     bireg = None
     if colored is not None and g.n > 0:
         bireg = _biregular_pair(g, *colored)
-    return ClassReport(is_even, is_odd, max_degree, bireg)
+    return ClassReport(is_even, is_odd, max_degree, bireg, colored is not None)
 
 
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:

@@ -7,11 +7,12 @@ to locally-balanced 2-partition existence on four restricted graph classes:
 * ``odd``       closed mode, all degrees odd, max degree 3, 30n + 10k vertices
 
 Every constructor returns the graph plus a total role map (vertex -> tagged
-role), verifies its gadget contracts first, and asserts its class
-postconditions.  The role map supports the two directional maps: a
-satisfying assignment lifts to a checker-valid partition, and a valid
-partition projects back to a satisfying assignment.  Both maps check their
-result and raise, never assert, when the graph disagrees with its roles.
+role), verifies its gadget contracts first, and checks its class
+postconditions on one ``classify`` report, which the artifact keeps.  The
+role map supports the two directional maps: a satisfying assignment lifts
+to a checker-valid partition, and a valid partition projects back to a
+satisfying assignment.  Both maps check their result and raise, never
+assert, when the graph disagrees with its roles.
 
 The role map is fixed by the reduction's name and the instance shape
 (``_layout``).  The constructors, ``write_artifact`` and ``read_artifact``
@@ -29,13 +30,14 @@ propagation before any free chain vertices are branched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .balance import TwoPartition, check, phi_star
 from .gadgets import ensure_verified, gadget_f1, gadget_f4, gadget_forcing
-from .graphs import Graph, bipartition, classify, parse_graph, serialize_graph
+from .graphs import ClassReport, Graph, classify, parse_graph, serialize_graph
+from .graphs import bipartition  # noqa: F401  (a layer that perfbench/tracer.py wraps here)
 from .nae import NaeInstance, occurrence_slots
 
 __all__ = [
@@ -61,6 +63,14 @@ MODE_OF = {"bireg": "open", "even": "open", "subcubic": "closed", "odd": "closed
 
 GAMMA_SIZE = 30
 F4_SIZE = 9
+
+# The class postcondition of each reduction, on its graph's ClassReport and r.
+_CLASS_OF = {
+    "bireg": lambda c, r: c.biregular == (3, 8 * r),
+    "even": lambda c, r: c.is_even and c.max_degree == 4 and c.is_bipartite,
+    "subcubic": lambda c, r: c.max_degree == 3 and c.is_bipartite,
+    "odd": lambda c, r: c.is_odd and c.max_degree == 3 and not c.is_bipartite,
+}
 
 
 class UnsatAssignmentError(ValueError):
@@ -89,6 +99,8 @@ class ReductionArtifact:
     n_vars: int
     n_clauses: int
     r: int = 0
+    # the report a constructor checked; None when read_artifact loaded it
+    classes: Optional[ClassReport] = field(default=None, compare=False, repr=False)
 
     def role_index(self) -> dict[Role, int]:
         return {role: v for v, role in enumerate(self.roles)}
@@ -143,10 +155,15 @@ def _records(roles: Sequence[Role]) -> list[str]:
 
 
 def _artifact(name: str, inst: NaeInstance, edges, r: int = 0) -> ReductionArtifact:
-    """The artifact of the reduction's edges, with the roles of its layout."""
+    """The artifact of the reduction's edges, with the roles of its layout,
+    once its graph passes the reduction's class postcondition (a raise, not
+    an assert, so that it also holds under python -O)."""
     roles = _roles(name, inst.n, inst.k, r)
     graph = Graph.from_edges(len(roles), edges)
-    return ReductionArtifact(name, MODE_OF[name], graph, roles, inst.n, inst.k, r)
+    classes = classify(graph)
+    if not _CLASS_OF[name](classes, r):
+        raise AssertionError(f"{name} reduction built a graph outside its class: {classes}")
+    return ReductionArtifact(name, MODE_OF[name], graph, roles, inst.n, inst.k, r, classes)
 
 
 def reduce_open_biregular(inst: NaeInstance, r: int = 1) -> ReductionArtifact:
@@ -160,10 +177,7 @@ def reduce_open_biregular(inst: NaeInstance, r: int = 1) -> ReductionArtifact:
         for var in clause
         for l in range(2 * r)
     ]
-    art = _artifact("bireg", inst, edges, r)
-    rep = classify(art.graph)
-    assert rep.biregular == (3, 8 * r), f"expected (3,{8 * r})-biregular, got {rep.biregular}"
-    return art
+    return _artifact("bireg", inst, edges, r)
 
 
 def reduce_open_even(inst: NaeInstance) -> ReductionArtifact:
@@ -188,11 +202,7 @@ def reduce_open_even(inst: NaeInstance) -> ReductionArtifact:
             edges.append((p(var, t), q(j, 2)))
         edges.append((q(j, 1), v(j)))
         edges.append((q(j, 2), v(j)))
-    art = _artifact("even", inst, edges)
-    rep = classify(art.graph)
-    assert rep.is_even and rep.max_degree == 4
-    assert bipartition(art.graph) is not None
-    return art
+    return _artifact("even", inst, edges)
 
 
 def _gamma_edges(n: int, gamma) -> list[tuple[int, int]]:
@@ -211,11 +221,7 @@ def reduce_closed_subcubic(inst: NaeInstance) -> ReductionArtifact:
     for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
         for var, t in zip(clause, slots):
             edges.append((GAMMA_SIZE * var + gamma.inputs[t - 1], GAMMA_SIZE * n + j))
-    art = _artifact("subcubic", inst, edges)
-    rep = classify(art.graph)
-    assert rep.max_degree == 3
-    assert bipartition(art.graph) is not None
-    return art
+    return _artifact("subcubic", inst, edges)
 
 
 def reduce_closed_odd(inst: NaeInstance) -> ReductionArtifact:
@@ -236,11 +242,7 @@ def reduce_closed_odd(inst: NaeInstance) -> ReductionArtifact:
             edges.append((q, p_vertex))
             edges.append((f4_base + 3 * t, p_vertex))
         edges.extend((f4_base + a, f4_base + b) for a, b in f4_local)
-    art = _artifact("odd", inst, edges)
-    rep = classify(art.graph)
-    assert rep.is_odd and rep.max_degree == 3
-    assert bipartition(art.graph) is None, "triangle widgets should break bipartiteness"
-    return art
+    return _artifact("odd", inst, edges)
 
 
 def reduce_by_name(name: str, inst: NaeInstance, r: int = 1) -> ReductionArtifact:

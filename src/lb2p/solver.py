@@ -27,6 +27,21 @@ first labelings is the lexicographically first witness of the whole graph.
 ``enumerate_partitions`` runs the same search unsplit over all vertices,
 which yields every valid partition in lexicographic order.
 
+``decide`` adds two rules that keep the lexicographically first witness.
+Twin order: two unfixed vertices u < w with the same non-empty set of
+active scopes containing them can swap labels without changing any count,
+so the first witness has label(u) <= label(w).  Each class of such twins
+is chained in index order; a 1 on a twin forces a 1 on the next one and a
+0 forces a 0 on the previous one, through the same queue as the counting
+rule, and a clash with a set label is a conflict.  Failed-literal probing:
+after the fixpoint of each branch (and once after the fixed labels), every
+scope whose count of 0s reached cap - 1 is looked at, and each unassigned
+member is tried with 0, the value the search tries first.  If that
+conflicts the member takes 1; if 1 conflicts too, the branch fails.  Both
+rules remove only labelings that break the twin order or have no
+completion, and the first witness is neither.  Each probe costs one node
+of the budget, so a timeout depends only on the inputs.
+
 Waived vertices have their own constraint dropped but still appear in other
 scopes; this models gadget inputs whose external contributions are unknown.
 """
@@ -107,7 +122,8 @@ class SolveOutcome:
     nodes: int
     propagations: int
     components: int = 0  # scope components ``decide`` found after propagation
-    conflicts: int = 0  # value attempts of the search whose propagation conflicted
+    conflicts: int = 0  # value attempts of the search whose propagation or probing conflicted
+    probes: int = 0  # failed-literal trials; each is also one of ``nodes``
 
 
 class _BudgetHit(Exception):
@@ -118,8 +134,8 @@ class _Search:
     """Trail-based backtracking engine over a ConstraintSystem."""
 
     __slots__ = (
-        "n", "scopes", "owners", "cap", "count", "label", "trail", "pending",
-        "nodes", "propagations", "conflicts", "budget", "conflict_vertex",
+        "n", "scopes", "owners", "cap", "count", "label", "trail", "pending", "twin",
+        "probing", "nodes", "propagations", "conflicts", "probes", "budget", "conflict_vertex",
     )
 
     def __init__(self, cs: ConstraintSystem, budget: int):
@@ -136,12 +152,30 @@ class _Search:
         self.count = ([0] * n, [0] * n)  # per label, assigned members of each scope
         self.label = [-1] * n
         self.trail: list[int] = []
-        self.pending: list[tuple[int, int]] = []  # (scope, label) at or past cap
+        # (scope, label) at or past cap, or (~u, label) when the twin order gives u that label
+        self.pending: list[tuple[int, int]] = []
+        self.twin = ([-1] * n, [-1] * n)  # per label x, the twin that a label x forces to x
+        self.probing = False  # search probes after each successful flush
         self.nodes = 0
         self.propagations = 0
         self.conflicts = 0
+        self.probes = 0
         self.budget = budget
         self.conflict_vertex: Optional[int] = None
+
+    def order_twins(self, fixed: Optional[Mapping[int, int]]) -> None:
+        """Enable the twin-order rule: unfixed vertices with equal, non-empty
+        ``owners`` are chained in index order, and a 1 on one forces a 1 on
+        the next twin, a 0 on one a 0 on the previous twin."""
+        last: dict[tuple[int, ...], int] = {}
+        up, down = self.twin[1], self.twin[0]
+        for w, own in enumerate(self.owners):
+            if own and not (fixed and w in fixed):
+                u = last.get(own)
+                if u is not None:
+                    up[u] = w
+                    down[w] = u
+                last[own] = w
 
     def _set(self, u: int, val: int) -> None:
         self.label[u] = val
@@ -153,6 +187,9 @@ class _Search:
             cnt[v] = c
             if c >= cap[v]:
                 self.pending.append((v, val))
+        t = self.twin[val][u]
+        if t >= 0:
+            self.pending.append((~t, val))
 
     def undo_to(self, mark: int) -> None:
         trail = self.trail
@@ -167,7 +204,8 @@ class _Search:
         del trail[mark:]
 
     def flush(self) -> bool:
-        """Run the forcing rule to fixpoint; False on conflict."""
+        """Run the forcing rule, and the twin order if enabled, to fixpoint;
+        False on conflict."""
         pending = self.pending
         label = self.label
         trail = self.trail
@@ -175,27 +213,89 @@ class _Search:
         owners = self.owners
         count = self.count
         cap = self.cap
+        twin = self.twin
         forced = 0
         while pending:
             v, val = pending.pop()
-            if count[val][v] > cap[v]:
-                self.conflict_vertex = v
-                pending.clear()
-                self.propagations += forced
-                return False
-            other = 1 - val
-            cnt = count[other]
-            for w in scopes[v]:
+            if v >= 0:  # scope v holds cap or more labels val: the rest take the other
+                if count[val][v] > cap[v]:
+                    self.conflict_vertex = v
+                    break
+                val = 1 - val
+                targets = scopes[v]
+            else:  # twin order: vertex ~v takes val
+                v = ~v
+                if label[v] == 1 - val:
+                    self.conflict_vertex = v
+                    break
+                targets = (v,)
+            cnt = count[val]
+            nxt = twin[val]
+            for w in targets:
                 if label[w] == -1:
-                    label[w] = other
+                    label[w] = val
                     trail.append(w)
                     forced += 1
                     for x in owners[w]:
                         c = cnt[x] + 1
                         cnt[x] = c
                         if c >= cap[x]:
-                            pending.append((x, other))
+                            pending.append((x, val))
+                    t = nxt[w]
+                    if t >= 0:
+                        pending.append((~t, val))
+        else:
+            self.propagations += forced
+            return True
+        pending.clear()
         self.propagations += forced
+        return False
+
+    def _count_node(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _BudgetHit
+
+    def probe(self, mark: int) -> bool:
+        """Failed-literal probing after the labels set since trail position
+        ``mark``; False when the node fails.
+
+        The candidates are the scopes whose count of 0s reached cap - 1
+        through those labels: one more 0 there forces all other members to
+        1.  Each unassigned member of a candidate is tried with 0, at one
+        node of the budget; when that conflicts it takes 1, and the labels
+        this sets are scanned in turn.
+        """
+        label = self.label
+        trail = self.trail
+        scopes = self.scopes
+        owners = self.owners
+        count0 = self.count[0]
+        cap = self.cap
+        seen = set()
+        while mark < len(trail):
+            u = trail[mark]
+            mark += 1
+            if label[u]:
+                continue
+            for s in owners[u]:
+                if count0[s] != cap[s] - 1 or s in seen:
+                    continue
+                seen.add(s)
+                for w in scopes[s]:
+                    if label[w] != -1:
+                        continue
+                    self._count_node()
+                    self.probes += 1
+                    top = len(trail)
+                    self._set(w, 0)
+                    ok = self.flush()
+                    self.undo_to(top)
+                    if ok:
+                        continue
+                    self._set(w, 1)
+                    if not self.flush():
+                        return False
         return True
 
     def initialize(self, fixed: Optional[Mapping[int, int]]) -> bool:
@@ -249,8 +349,9 @@ class _Search:
 
         Yields each time every vertex of ``order`` is labelled; the labels
         are then in ``self.label``.  With ``symmetric`` the first vertex
-        takes only the value 0.  A value whose propagation conflicts counts
-        in ``conflicts``.  Raises _BudgetHit past the node budget.
+        takes only the value 0.  With ``probing`` each fixpoint is probed.
+        A value whose propagation or probing conflicts counts in
+        ``conflicts``.  Raises _BudgetHit past the node budget.
         """
         label = self.label
         trail = self.trail
@@ -272,11 +373,9 @@ class _Search:
                     frames.pop()
                     continue
                 frame[2] = val + 1
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise _BudgetHit
+                self._count_node()
                 self._set(order[pos], val)
-                if self.flush():
+                if self.flush() and (not self.probing or self.probe(mark)):
                     i = pos + 1
                     break
                 self.conflicts += 1
@@ -314,8 +413,8 @@ def decide(
     """Complete search for a valid 2-partition; lexicographically first witness.
 
     Scope components are searched one at a time against one shared node
-    budget.  Returns status 'timeout' when the budget is exhausted, never a
-    wrong answer.
+    budget; branch values and probes each cost one node.  Returns status
+    'timeout' when the budget is exhausted, never a wrong answer.
     """
     cs = ConstraintSystem.from_graph(g, mode, waived)
     eng = _Search(cs, node_budget)
@@ -323,13 +422,15 @@ def decide(
 
     def outcome(status: str, witness: Optional[TwoPartition] = None) -> SolveOutcome:
         return SolveOutcome(
-            status, witness, eng.nodes, eng.propagations, len(comps), eng.conflicts
+            status, witness, eng.nodes, eng.propagations, len(comps), eng.conflicts, eng.probes
         )
 
-    if not eng.initialize(fixed):
-        return outcome("unsat")
-    comps = eng.components()
+    eng.order_twins(fixed)
+    eng.probing = True
     try:
+        if not (eng.initialize(fixed) and eng.probe(0)):
+            return outcome("unsat")
+        comps = eng.components()
         for order, symmetric in comps:
             for _ in eng.search(order, symmetric):
                 break  # keep the component's first labeling

@@ -69,6 +69,24 @@ def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def with_twins(g: Graph, copies: int, rng: random.Random) -> Graph:
+    """g plus ``copies`` new vertices, each copying the neighbourhood of a
+    random vertex (and, at random, adjacent to it: a closed twin), with the
+    vertex indices shuffled."""
+    n = g.n + copies
+    adj = [set(a) for a in g.adj] + [set() for _ in range(copies)]
+    for w in range(g.n, n):
+        u = rng.randrange(w)
+        adj[w] = set(adj[u])
+        if rng.random() < 0.5:
+            adj[w].add(u)
+        for x in adj[w]:
+            adj[x].add(w)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u in range(n) for v in adj[u] if u < v])
+
+
 def random_regular_multigraph(n: int, r: int, rng: random.Random, tries: int = 2000) -> MultiGraph:
     """Configuration model, resampled until the pairing has no self-loops."""
     if (n * r) % 2:

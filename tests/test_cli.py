@@ -85,7 +85,9 @@ def test_solve_stats_line_leaves_stdout_unchanged(files, capsys, name, extra):
     assert with_stats.out == plain.out and plain.err == ""
     assert with_stats.err.count("\n") == 1  # one line
     stats = json.loads(with_stats.err)
-    assert list(stats) == ["status", "nodes", "propagations", "conflicts", "components", "seconds"]
+    assert list(stats) == [
+        "status", "nodes", "propagations", "conflicts", "probes", "components", "seconds"
+    ]
     assert stats["status"] == plain.out.split()[0].lower()
     assert stats["nodes"] >= 1 and stats["seconds"] >= 0
     if name == "c6":

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import CANONICAL_N3, random_nae_instance
+from helpers import CANONICAL_N3, random_nae_instance, run_optimized
 from lb2p import (
     InvalidPartitionError,
     TwoPartition,
@@ -118,6 +118,21 @@ def test_class_postconditions_on_seeded_instances():
         art = reduce_closed_odd(inst)
         rep = classify(art.graph)
         assert art.graph.n == 30 * n + 10 * k and rep.is_odd and rep.max_degree == 3
+
+
+def test_class_postcondition_raises_under_optimize_flag():
+    """Without its forcing gadgets the odd reduction's graph has even
+    degrees; the constructor refuses it under python -O too: the class
+    check is a raise, not an assert."""
+    proc = run_optimized(
+        "import lb2p.reductions as r\n"
+        "from helpers import CANONICAL_N3\n"
+        "from lb2p.nae import parse_nae\n"
+        "r._gamma_edges = lambda n, gamma: []\n"
+        "print(r.reduce_closed_odd(parse_nae(CANONICAL_N3)).graph.n)\n"
+    )
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "AssertionError: odd reduction built a graph outside its class" in proc.stderr
 
 
 def _rebuild_edges_from_roles(art, inst):

@@ -13,6 +13,7 @@ from helpers import (
     random_nae_instance,
     reference_propagate,
     run_optimized,
+    with_twins,
 )
 from lb2p import (
     BudgetExceededError,
@@ -27,7 +28,7 @@ from lb2p import (
 )
 from lb2p.gadgets import gadget_f2
 from lb2p.nae import parse_nae
-from lb2p.reductions import reduce_by_name, reduce_open_biregular
+from lb2p.reductions import partition_to_assignment, reduce_by_name, reduce_open_biregular
 
 
 def test_propagate_open_path_forces_far_end():
@@ -223,25 +224,28 @@ def test_solver_stats_populated():
     assert c6.conflicts == c6.nodes == 1
 
 
-# status, nodes and the sha256 prefix of the witness line, recorded with the
-# T-set propagator that the counting kernel replaced; instances from
-# random_nae_instance(n, random.Random(404)) drawn in this order
+# status, nodes (probes included) and the sha256 prefix of the witness
+# line; instances from random_nae_instance(n, random.Random(404)) drawn in
+# this order.  The subcubic/odd digests were recorded with the T-set
+# propagator that the counting kernel replaced.  The bireg rows reached the
+# 5000-node budget before the twin order and probing; the search without
+# them finds the same five witnesses in 6219 to 1427794 nodes.
 PINNED_REDUCTIONS = [
-    ("bireg", 12, "timeout", 5001, None),
-    ("subcubic", 12, "sat", 148, "21ddfc426813e623"),
-    ("odd", 12, "sat", 148, "3368c88b4d56ad58"),
-    ("bireg", 15, "timeout", 5001, None),
-    ("subcubic", 15, "sat", 60, "bf8ecaa6fd5c8774"),
-    ("odd", 15, "sat", 60, "a6c39d22ba7956e0"),
-    ("bireg", 18, "timeout", 5001, None),
-    ("subcubic", 18, "sat", 97, "6e5b2db2420a7c3e"),
-    ("odd", 18, "sat", 97, "817f45e0d884c7eb"),
-    ("bireg", 21, "timeout", 5001, None),
-    ("subcubic", 21, "sat", 366, "43aebe9f8d63a63f"),
-    ("odd", 21, "sat", 366, "ad97a9e3a8adeb4b"),
-    ("bireg", 24, "timeout", 5001, None),
-    ("subcubic", 24, "sat", 334, "533a35cae2409e70"),
-    ("odd", 24, "sat", 334, "27f0d65e993fbe95"),
+    ("bireg", 12, "sat", 289, "c896738cbdba53cc"),
+    ("subcubic", 12, "sat", 152, "21ddfc426813e623"),
+    ("odd", 12, "sat", 222, "3368c88b4d56ad58"),
+    ("bireg", 15, "sat", 2185, "d391fb0cdfd14edb"),
+    ("subcubic", 15, "sat", 187, "bf8ecaa6fd5c8774"),
+    ("odd", 15, "sat", 277, "a6c39d22ba7956e0"),
+    ("bireg", 18, "sat", 264, "1022d8d76612a79b"),
+    ("subcubic", 18, "sat", 219, "6e5b2db2420a7c3e"),
+    ("odd", 18, "sat", 317, "817f45e0d884c7eb"),
+    ("bireg", 21, "sat", 1172, "4f4c7e6d8ae6f6bb"),
+    ("subcubic", 21, "sat", 344, "43aebe9f8d63a63f"),
+    ("odd", 21, "sat", 484, "ad97a9e3a8adeb4b"),
+    ("bireg", 24, "sat", 1372, "e66b5f60dccf489d"),
+    ("subcubic", 24, "sat", 288, "533a35cae2409e70"),
+    ("odd", 24, "sat", 414, "27f0d65e993fbe95"),
 ]
 
 
@@ -256,6 +260,63 @@ def test_decide_pinned_on_reductions():
         line = out.witness.to_line() if out.witness else None
         got = hashlib.sha256(line.encode()).hexdigest()[:16] if line else None
         assert (target, n, out.status, out.nodes, got) == (target, n, status, nodes, digest)
+
+
+def test_decide_closed_reductions_of_96_variables_within_budget():
+    # the plain search reaches the 5000-node budget on all four; failed
+    # literals of the forcing gadgets are found by probing instead
+    rng = random.Random(96)
+    for _ in range(2):
+        inst = random_nae_instance(96, rng)
+        for target in ("subcubic", "odd"):
+            art = reduce_by_name(target, inst)
+            out = decide(art.graph, "closed", node_budget=5000)
+            assert out.status == "sat" and out.probes > 0
+            assignment = partition_to_assignment(art, out.witness)
+            assert all(len({assignment[v] for v in c}) == 2 for c in inst.clauses)
+
+
+def test_twin_order_and_probing_keep_first_witness():
+    # neighbourhood copies make twin classes, also next to fixed and
+    # waived vertices; decide must still return the first partition in
+    # lexicographic order
+    rng = random.Random(1996)
+    cases = {"twins": 0, "probed": 0, "sat": 0}
+    for _ in range(1000):
+        base = erdos_renyi(rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]), rng)
+        g = with_twins(base, rng.randint(1, 4), rng)
+        for mode in ("open", "closed"):
+            waived = {v for v in range(g.n) if rng.random() < 0.2}
+            fixed = {v: rng.randint(0, 1) for v in range(g.n) if rng.random() < 0.15}
+            sols = enumerate_partitions(g, mode, waived=waived, fixed=fixed)
+            out = decide(g, mode, waived=waived, fixed=fixed)
+            assert out.witness == (sols[0] if sols else None)
+            assert out.status == ("sat" if sols else "unsat")
+            assert out == decide(g, mode, waived=waived, fixed=fixed)
+            # the active scopes containing u are those of u's (closed) neighbours
+            nbhd = g.adj if mode == "open" else [a + (u,) for u, a in enumerate(g.adj)]
+            owner_sets = [
+                frozenset(v for v in nbhd[u] if v not in waived) for u in range(g.n) if u not in fixed
+            ]
+            cases["twins"] += len(set(s for s in owner_sets if s)) < sum(1 for s in owner_sets if s)
+            cases["probed"] += out.probes > 0
+            cases["sat"] += out.status == "sat"
+    assert min(cases.values()) >= 1000
+
+
+def test_probes_are_charged_to_the_node_budget():
+    inst = random_nae_instance(15, random.Random(5))
+    for target, mode in (("bireg", "open"), ("odd", "closed")):
+        g = reduce_by_name(target, inst).graph
+        full = decide(g, mode)
+        assert full.status == "sat" and 0 < full.probes < full.nodes
+        for budget in range(1, full.nodes + 3):
+            out = decide(g, mode, node_budget=budget)
+            assert out.nodes <= budget + 1
+            if budget < full.nodes:
+                assert out.status == "timeout" and out.nodes == budget + 1
+            else:
+                assert out == full
 
 
 def test_empty_graph_is_sat():
