@@ -17,15 +17,7 @@ from typing import Optional, Sequence
 
 from .balance import check, parse_partition
 from .biregular import Certificate, NotApplicable, Witness, solve_biregular
-from .gadgets import (
-    ensure_verified,
-    gadget_f1,
-    gadget_f2,
-    gadget_f4,
-    gadget_forcing,
-    verify_f4_harness,
-    verify_gadget,
-)
+from .gadgets import gadget_f1, gadget_f2, gadget_f4, gadget_forcing, verify_contract
 from .graphs import GraphFormatError, parse_graph
 from .graphs import classify  # noqa: F401  (a layer that perfbench/tracer.py wraps here)
 from .nae import NaeFormatError, parse_nae
@@ -38,6 +30,7 @@ from .reductions import (
     partition_to_assignment,
     read_artifact,
     reduce_by_name,
+    summary,
     write_artifact,
 )
 from .solver import DEFAULT_NODE_BUDGET, brute_force, decide
@@ -46,6 +39,8 @@ GRAPH_FORMAT = "graph file: header 'n m', then m lines 'u v' (0-based, simple)"
 PARTITION_FORMAT = "partition file: one line of n characters from {0,1}"
 ASSIGNMENT_FORMAT = "assignment file: one line of n characters from {0,1}, one per variable"
 FORMULA_FORMAT = "formula file: header 'p nae3 n k', then k lines of 3 distinct 1-based variables"
+
+GADGETS = {"f1": gadget_f1, "f2": gadget_f2, "forcing": gadget_forcing, "f4": gadget_f4}
 
 
 def _positive_int(text: str) -> int:
@@ -120,25 +115,12 @@ def _cmd_biregular(args) -> int:
     return 0
 
 
-def _summary(artifact) -> str:
-    rep = artifact.classes  # the report the constructor checked
-    n = artifact.graph.n
-    if artifact.name == "bireg":
-        a, b = rep.biregular
-        return f"{n} vertices ({a},{b})-biregular"
-    if artifact.name == "even":
-        return f"{n} vertices even bipartite maxdeg {rep.max_degree}"
-    if artifact.name == "subcubic":
-        return f"{n} vertices bipartite maxdeg {rep.max_degree}"
-    return f"{n} vertices odd maxdeg {rep.max_degree}"
-
-
 def _cmd_reduce(args) -> int:
     inst = parse_nae(Path(args.formula).read_text(encoding="ascii"))
     artifact = reduce_by_name(args.target, inst, args.r)
     base = args.out if args.out else str(Path(args.formula).with_suffix(""))
     graph_path, roles_path = write_artifact(artifact, base)
-    print(_summary(artifact))
+    print(summary(artifact))
     print(f"wrote {graph_path} {roles_path}")
     return 0
 
@@ -175,13 +157,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    if args.name == "f4":
-        report = verify_gadget(gadget_f4())
-        if report.passed:
-            report = verify_f4_harness()
-    else:
-        builder = {"f1": gadget_f1, "f2": gadget_f2, "forcing": gadget_forcing}[args.name]
-        report = verify_gadget(builder())
+    report = verify_contract(GADGETS[args.name]())
     if report.passed:
         print("PASS")
         return 0
@@ -245,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="gadget utilities")
     gsub = p.add_subparsers(dest="gadget_command", required=True)
     pv = gsub.add_parser("verify", help="machine-check a gadget contract")
-    pv.add_argument("--name", choices=("f1", "f2", "forcing", "f4"), required=True)
+    pv.add_argument("--name", choices=tuple(GADGETS), required=True)
     pv.set_defaults(func=_cmd_gadget)
 
     return parser

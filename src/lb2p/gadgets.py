@@ -29,6 +29,7 @@ __all__ = [
     "gadget_f4",
     "verify_gadget",
     "verify_f4_harness",
+    "verify_contract",
     "ensure_verified",
     "f4_harness",
 ]
@@ -263,6 +264,14 @@ def verify_f4_harness() -> GadgetReport:
     return GadgetReport(True, None, None, completions)
 
 
+def verify_contract(gadget: Gadget) -> GadgetReport:
+    """``verify_gadget``, then for the triangle widget ``verify_f4_harness``."""
+    report = verify_gadget(gadget)
+    if report.passed and gadget.name == "f4":
+        report = verify_f4_harness()
+    return report
+
+
 _VERIFIED: dict[str, GadgetReport] = {}
 
 
@@ -270,12 +279,7 @@ def ensure_verified(gadget: Gadget) -> GadgetReport:
     """Verify once per process; raise if the contract fails."""
     report = _VERIFIED.get(gadget.name)
     if report is None:
-        report = verify_gadget(gadget)
-        if report.passed and gadget.name == "f4":
-            harness_report = verify_f4_harness()
-            if not harness_report.passed:
-                report = harness_report
-        _VERIFIED[gadget.name] = report
+        report = _VERIFIED[gadget.name] = verify_contract(gadget)
     if not report.passed:
         raise GadgetContractError(f"gadget {gadget.name!r} failed verification: {report.failure}")
     return report

@@ -20,7 +20,6 @@ __all__ = [
     "serialize_nae",
     "nae_eval",
     "brute_sat",
-    "occurrence_slot",
     "occurrence_slots",
 ]
 
@@ -137,25 +136,10 @@ def brute_sat(inst: NaeInstance, cap: int = BRUTE_SAT_CAP) -> Optional[tuple[int
     return None
 
 
-def occurrence_slot(inst: NaeInstance, var: int, clause_index: int) -> int:
-    """1-based occurrence number of ``var`` at ``clause_index``.
-
-    Occurrences are counted by scanning clauses in input order; a variable
-    appears at most once per clause, so the slot is well defined.
-    """
-    slot = 0
-    for j, c in enumerate(inst.clauses):
-        if var in c:
-            slot += 1
-            if j == clause_index:
-                return slot
-    raise ValueError(f"variable {var} does not occur in clause {clause_index}")
-
-
 def occurrence_slots(inst: NaeInstance) -> list[tuple[int, int, int]]:
-    """Per clause, the 1-based occurrence number of each member, in one pass
-    with one counter per variable: ``occurrence_slots(inst)[j][m]`` equals
-    ``occurrence_slot(inst, inst.clauses[j][m], j)``."""
+    """Per clause, the 1-based occurrence number of each member, counting
+    each variable's occurrences in clause order, in one pass with one
+    counter per variable."""
     seen = [0] * inst.n
     out = []
     for a, b, c in inst.clauses:

@@ -1,5 +1,6 @@
 """Executable reductions from the four-occurrence monotone NAE-3-SAT problem
-to locally-balanced 2-partition existence on four restricted graph classes:
+to locally-balanced 2-partition existence on four restricted graph classes,
+the rows of the ``REDUCTIONS`` table:
 
 * ``bireg``     open mode, (3,8r)-biregular bipartite, n + 2rk vertices
 * ``even``      open mode, even bipartite with max degree 4, 16n + 3k vertices
@@ -14,10 +15,10 @@ to a checker-valid partition, and a valid partition projects back to a
 satisfying assignment.  Both maps check their result and raise, never
 assert, when the graph disagrees with its roles.
 
-The role map is fixed by the reduction's name and the instance shape
-(``_layout``).  The constructors, ``write_artifact`` and ``read_artifact``
-all take it from there, so a ``.roles`` file is its header plus the records
-the header determines, and ``read_artifact`` accepts exactly those records.
+The role map is fixed by the table row's layout and the instance shape.
+The constructors, ``write_artifact`` and ``read_artifact`` all take it from
+there, so a ``.roles`` file is its header plus the records the header
+determines, and ``read_artifact`` accepts exactly those records.
 Constructors, lift and extract do O(n + k) work, apart from the one numpy
 sort that builds or loads the graph.
 
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .balance import TwoPartition, check, phi_star
 from .gadgets import ensure_verified, gadget_f1, gadget_f4, gadget_forcing
@@ -45,12 +47,14 @@ __all__ = [
     "UnsatAssignmentError",
     "InvalidPartitionError",
     "RoleMapError",
+    "REDUCTIONS",
     "REDUCTION_NAMES",
     "reduce_open_biregular",
     "reduce_open_even",
     "reduce_closed_subcubic",
     "reduce_closed_odd",
     "reduce_by_name",
+    "summary",
     "assignment_to_partition",
     "partition_to_assignment",
     "write_artifact",
@@ -58,19 +62,7 @@ __all__ = [
     "parse_assignment",
 ]
 
-REDUCTION_NAMES = ("bireg", "even", "subcubic", "odd")
-MODE_OF = {"bireg": "open", "even": "open", "subcubic": "closed", "odd": "closed"}
-
 GAMMA_SIZE = 30
-F4_SIZE = 9
-
-# The class postcondition of each reduction, on its graph's ClassReport and r.
-_CLASS_OF = {
-    "bireg": lambda c, r: c.biregular == (3, 8 * r),
-    "even": lambda c, r: c.is_even and c.max_degree == 4 and c.is_bipartite,
-    "subcubic": lambda c, r: c.max_degree == 3 and c.is_bipartite,
-    "odd": lambda c, r: c.is_odd and c.max_degree == 3 and not c.is_bipartite,
-}
 
 
 class UnsatAssignmentError(ValueError):
@@ -114,32 +106,21 @@ def parse_assignment(text: str, n: int) -> tuple[int, ...]:
     return tuple(map(int, line))
 
 
-def _layout(name: str, n: int, k: int, r: int) -> list[tuple[list[Role], int]]:
-    """The vertex layout as (template, count) blocks in vertex order: a block
-    repeats its template once per variable (count n) or clause (count k)."""
-    if name == "bireg":
-        return [([("p", ())], n), ([("q", (l,)) for l in range(1, 2 * r + 1)], k)]
-    if name == "even":
-        return [
-            ([("p", (t,)) for t in range(1, 5)], n),
-            ([("g", (j,)) for j in range(1, 13)], n),
-            ([("q", (1,)), ("q", (2,))], k),
-            ([("v", ())], k),
-        ]
+@cache
+def _gamma_template() -> tuple[Role, ...]:
+    """The roles of one forcing gadget: ("p", (slot,)) or ("g", (local,))."""
     slot = {local: t for t, local in enumerate(gadget_forcing().inputs, start=1)}
-    gamma = [("p", (slot[x],)) if x in slot else ("g", (x,)) for x in range(GAMMA_SIZE)]
-    blocks = [(gamma, n), ([("q", ())], k)]
-    if name == "odd":
-        blocks.append(([(tag, (t,)) for t in range(1, 4) for tag in "yzb"], k))
-    return blocks
+    return tuple([("p", (slot[x],)) if x in slot else ("g", (x,)) for x in range(GAMMA_SIZE)])
 
 
 def _roles(name: str, n: int, k: int, r: int = 0) -> tuple[Role, ...]:
-    """The role of every vertex, fixed by the reduction and the instance
-    shape: a template role (tag, rest) of block copy i is (tag, (i, *rest))."""
+    """The role of every vertex, fixed by the reduction's layout and the
+    instance shape: each (template, count) block repeats its template once
+    per variable (count n) or clause (count k), and the template role (tag,
+    rest) of copy i is (tag, (i, *rest))."""
     return tuple([
         (tag, (i, *rest))
-        for template, count in _layout(name, n, k, r)
+        for template, count in REDUCTIONS[name].layout(n, k, r)
         for i in range(count)
         for tag, rest in template
     ])
@@ -155,15 +136,14 @@ def _records(roles: Sequence[Role]) -> list[str]:
 
 
 def _artifact(name: str, inst: NaeInstance, edges, r: int = 0) -> ReductionArtifact:
-    """The artifact of the reduction's edges, with the roles of its layout,
-    once its graph passes the reduction's class postcondition (a raise, not
-    an assert, so that it also holds under python -O)."""
+    """The artifact of the reduction's edges and layout, once its graph passes
+    the class postcondition (a raise, so that it also holds under python -O)."""
     roles = _roles(name, inst.n, inst.k, r)
     graph = Graph.from_edges(len(roles), edges)
     classes = classify(graph)
-    if not _CLASS_OF[name](classes, r):
+    if not REDUCTIONS[name].in_class(classes, r):
         raise AssertionError(f"{name} reduction built a graph outside its class: {classes}")
-    return ReductionArtifact(name, MODE_OF[name], graph, roles, inst.n, inst.k, r, classes)
+    return ReductionArtifact(name, REDUCTIONS[name].mode, graph, roles, inst.n, inst.k, r, classes)
 
 
 def reduce_open_biregular(inst: NaeInstance, r: int = 1) -> ReductionArtifact:
@@ -236,7 +216,7 @@ def reduce_closed_odd(inst: NaeInstance) -> ReductionArtifact:
     edges = _gamma_edges(n, gamma)
     for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
         q = GAMMA_SIZE * n + j
-        f4_base = GAMMA_SIZE * n + k + F4_SIZE * j
+        f4_base = GAMMA_SIZE * n + k + f4.graph.n * j
         for t, (var, slot) in enumerate(zip(clause, slots)):
             p_vertex = GAMMA_SIZE * var + gamma.inputs[slot - 1]
             edges.append((q, p_vertex))
@@ -245,21 +225,96 @@ def reduce_closed_odd(inst: NaeInstance) -> ReductionArtifact:
     return _artifact("odd", inst, edges)
 
 
+def _closed_rules(a, cancel, clause_pvars) -> dict[str, Callable[..., int]]:
+    completion = [gadget_forcing().completion(beta) for beta in (0, 1)]
+    return {
+        "p": lambda i, t: a[i],
+        "g": lambda i, local: completion[a[i]][local],
+        "q": lambda j: cancel[j],
+        "y": lambda j, t: 1 - cancel[j],
+        "z": lambda j, t: cancel[j],
+        # strand t of clause j hangs off the input of its t-th variable
+        "b": lambda j, t: 1 - a[clause_pvars[j][t - 1][1]],
+    }
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """One row of ``REDUCTIONS``.  ``build`` calls the constructor by its
+    module-level name, where a tracing wrapper sees the call.  ``layout``
+    gives the blocks of ``_roles``, the first holding the input ("p") roles."""
+
+    mode: str
+    build: Callable[[NaeInstance, int], ReductionArtifact]
+    layout: Callable[[int, int, int], list[tuple[Sequence[Role], int]]]
+    in_class: Callable[[ClassReport, int], bool]
+    rules: Callable[..., dict[str, Callable[..., int]]]
+    describe: Callable[[ClassReport], str]
+
+
+REDUCTIONS = {
+    "bireg": Reduction(
+        mode="open",
+        build=lambda inst, r: reduce_open_biregular(inst, r),
+        layout=lambda n, k, r: [([("p", ())], n), ([("q", (l,)) for l in range(1, 2 * r + 1)], k)],
+        in_class=lambda c, r: c.biregular == (3, 8 * r),
+        rules=lambda a, cancel, clause_pvars: {"p": lambda i: a[i], "q": lambda j, l: l % 2},
+        describe=lambda c: "({},{})-biregular".format(*c.biregular),
+    ),
+    "even": Reduction(
+        mode="open",
+        build=lambda inst, r: reduce_open_even(inst),
+        layout=lambda n, k, r: [
+            ([("p", (t,)) for t in range(1, 5)], n),
+            ([("g", (j,)) for j in range(1, 13)], n),
+            ([("q", (1,)), ("q", (2,))], k),
+            ([("v", ())], k),
+        ],
+        in_class=lambda c, r: c.is_even and c.max_degree == 4 and c.is_bipartite,
+        rules=lambda a, cancel, clause_pvars: {
+            "p": lambda i, t: a[i],
+            "g": lambda i, j: a[i] if j % 3 == 1 else 1 - a[i],
+            "q": lambda j, l: 1 if l == 1 else 0,
+            "v": lambda j: cancel[j],
+        },
+        describe=lambda c: f"even bipartite maxdeg {c.max_degree}",
+    ),
+    "subcubic": Reduction(
+        mode="closed",
+        build=lambda inst, r: reduce_closed_subcubic(inst),
+        layout=lambda n, k, r: [(_gamma_template(), n), ([("q", ())], k)],
+        in_class=lambda c, r: c.max_degree == 3 and c.is_bipartite,
+        rules=_closed_rules,
+        describe=lambda c: f"bipartite maxdeg {c.max_degree}",
+    ),
+    "odd": Reduction(
+        mode="closed",
+        build=lambda inst, r: reduce_closed_odd(inst),
+        layout=lambda n, k, r: [
+            (_gamma_template(), n),
+            ([("q", ())], k),
+            ([(tag, (t,)) for t in range(1, 4) for tag in "yzb"], k),
+        ],
+        in_class=lambda c, r: c.is_odd and c.max_degree == 3 and not c.is_bipartite,
+        rules=_closed_rules,
+        describe=lambda c: f"odd maxdeg {c.max_degree}",
+    ),
+}
+REDUCTION_NAMES = tuple(REDUCTIONS)
+
+
 def reduce_by_name(name: str, inst: NaeInstance, r: int = 1) -> ReductionArtifact:
-    if name == "bireg":
-        return reduce_open_biregular(inst, r)
-    if name == "even":
-        return reduce_open_even(inst)
-    if name == "subcubic":
-        return reduce_closed_subcubic(inst)
-    if name == "odd":
-        return reduce_closed_odd(inst)
-    raise ValueError(f"unknown reduction {name!r}")
+    if name not in REDUCTIONS:
+        raise ValueError(f"unknown reduction {name!r}")
+    return REDUCTIONS[name].build(inst, r)
 
 
-def _clause_pvars(
-    artifact: ReductionArtifact, index: dict[Role, int]
-) -> list[list[tuple[int, int]]]:
+def summary(artifact: ReductionArtifact) -> str:
+    """The line ``lb2p reduce`` prints: the vertex count and the class."""
+    return f"{artifact.graph.n} vertices {REDUCTIONS[artifact.name].describe(artifact.classes)}"
+
+
+def _clause_pvars(artifact: ReductionArtifact, index: dict[Role, int]) -> list[list[tuple[int, int]]]:
     """Per clause, the (p vertex, variable) pairs adjacent to its clause
     vertex, in vertex order; RoleMapError unless there are three."""
     roles, adj = artifact.roles, artifact.graph.adj
@@ -299,26 +354,7 @@ def assignment_to_partition(
     # 1 where the clause's three variables sum to -1 under phi_star: the
     # label that cancels the clause's surplus
     cancel = [int(sum(phi_star(a[var]) for _, var in pvars) < 0) for pvars in clause_pvars]
-    if artifact.name == "bireg":
-        rules = {"p": lambda i: a[i], "q": lambda j, l: l % 2}
-    elif artifact.name == "even":
-        rules = {
-            "p": lambda i, t: a[i],
-            "g": lambda i, j: a[i] if j % 3 == 1 else 1 - a[i],
-            "q": lambda j, l: 1 if l == 1 else 0,
-            "v": lambda j: cancel[j],
-        }
-    else:
-        completion = [gadget_forcing().completion(beta) for beta in (0, 1)]
-        rules = {
-            "p": lambda i, t: a[i],
-            "g": lambda i, local: completion[a[i]][local],
-            "q": lambda j: cancel[j],
-            "y": lambda j, t: 1 - cancel[j],
-            "z": lambda j, t: cancel[j],
-            # strand t of clause j hangs off the input of its t-th variable
-            "b": lambda j, t: 1 - a[clause_pvars[j][t - 1][1]],
-        }
+    rules = REDUCTIONS[artifact.name].rules(a, cancel, clause_pvars)
     partition = TwoPartition(tuple([rules[tag](*idx) for tag, idx in artifact.roles]))
     violations = check(artifact.graph, partition, artifact.mode)
     if violations:
@@ -345,7 +381,8 @@ def partition_to_assignment(
         raise InvalidPartitionError(f"partition violates balance at {violations}")
     labels = partition.labels
     index = artifact.role_index()
-    tails = [()] if artifact.name == "bireg" else [(t,) for t in range(1, 5)]
+    template, _ = REDUCTIONS[artifact.name].layout(0, 0, artifact.r)[0]
+    tails = [rest for tag, rest in template if tag == "p"]
     assignment = []
     for i in range(artifact.n_vars):
         values = {labels[index[("p", (i, *tail))]] for tail in tails}
@@ -362,9 +399,7 @@ def partition_to_assignment(
     return tuple(assignment)
 
 
-_HEADER_RE = re.compile(
-    r"^reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)$"
-)
+_HEADER_RE = re.compile(r"^reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)$")
 
 
 def write_artifact(artifact: ReductionArtifact, base: Union[str, Path]) -> tuple[Path, Path]:
@@ -395,13 +430,13 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
         raise RoleMapError(f"bad role-map header: {lines[0]!r}")
     name, mode = m.group(1, 2)
     n, k, r = map(int, m.group(3, 4, 5))
-    if name not in REDUCTION_NAMES:
+    if name not in REDUCTIONS:
         raise RoleMapError(f"unknown reduction {name!r}")
-    if mode != MODE_OF[name]:
-        raise RoleMapError(f"reduction {name} has mode {MODE_OF[name]}, not {mode}")
+    if mode != REDUCTIONS[name].mode:
+        raise RoleMapError(f"reduction {name} has mode {REDUCTIONS[name].mode}, not {mode}")
     if (r > 0) != (name == "bireg"):
         raise RoleMapError(f"r={r}: r is at least 1 for bireg and 0 otherwise")
-    order = sum(len(template) * count for template, count in _layout(name, n, k, r))
+    order = sum(len(template) * count for template, count in REDUCTIONS[name].layout(n, k, r))
     if order != graph.n:
         raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")
     roles = _roles(name, n, k, r)

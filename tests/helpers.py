@@ -240,6 +240,20 @@ def random_nae_instance(n: int, rng: random.Random, tries: int = 20000) -> NaeIn
 CANONICAL_N3 = "p nae3 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"
 
 
+def occurrence_slot(inst: NaeInstance, var: int, clause_index: int) -> int:
+    """1-based occurrence number of ``var`` at ``clause_index``, by a scan of
+    the clauses in input order; the reference for ``nae.occurrence_slots``.
+    A variable appears at most once per clause, so the slot is well defined.
+    """
+    slot = 0
+    for j, c in enumerate(inst.clauses):
+        if var in c:
+            slot += 1
+            if j == clause_index:
+                return slot
+    raise ValueError(f"variable {var} does not occur in clause {clause_index}")
+
+
 def reference_propagate(g: Graph, mode: str, partial, waived=frozenset()) -> tuple[list, bool]:
     """The T-set forcing rule, swept over every active scope to fixpoint;
     kept as an oracle for ``propagate``.  Returns (labels, conflict).

@@ -1,13 +1,15 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from helpers import CANONICAL_N3, complete, complete_bipartite, cycle, subdivide
+from helpers import CANONICAL_N3, complete, complete_bipartite, cycle, random_nae_instance, subdivide
 from lb2p import parse_graph, parse_partition, serialize_graph
 from lb2p import cli
 from lb2p.cli import main
-from lb2p.nae import parse_nae
+from lb2p.nae import brute_sat, parse_nae, serialize_nae
 from lb2p.reductions import read_artifact, reduce_open_biregular
 
 
@@ -140,18 +142,52 @@ def test_biregular_not_applicable(files, capsys):
     assert capsys.readouterr().out.startswith("NOTAPPLICABLE ")
 
 
-def test_reduce_summary_and_files(files, capsys):
-    base = files["tmp"] / "out_bireg"
+# the first line of `reduce` on CANONICAL_N3, per target
+SUMMARIES = {
+    "bireg": "11 vertices (3,8)-biregular",
+    "even": "60 vertices even bipartite maxdeg 4",
+    "subcubic": "94 vertices bipartite maxdeg 3",
+    "odd": "130 vertices odd maxdeg 3",
+}
+
+
+@pytest.mark.parametrize("target", SUMMARIES)
+def test_reduce_summary_and_files(files, capsys, target):
+    base = files["tmp"] / f"out_{target}"
     code = main(
-        ["reduce", "--target", "bireg", "--r", "1", "--out", str(base), str(files["nae"])]
+        ["reduce", "--target", target, "--r", "1", "--out", str(base), str(files["nae"])]
     )
     assert code == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "11 vertices (3,8)-biregular"
+    assert out[0] == SUMMARIES[target]
     art = read_artifact(base)
-    assert art.name == "bireg" and art.graph.n == 11
+    assert art.name == target and art.graph.n == int(SUMMARIES[target].split()[0])
     # the graph file is re-readable by the parser
-    parse_graph((files["tmp"] / "out_bireg.graph").read_text())
+    parse_graph((files["tmp"] / f"out_{target}.graph").read_text())
+
+
+# sha256 prefixes of the partition line `lift` prints for each target, on a
+# seeded 12-variable formula and its lexicographically first satisfying
+# assignment; recorded before the reductions became rows of one table
+LIFT_DIGESTS = {
+    "bireg": "2cbb674959dd02fa",
+    "even": "59a26ea6e58cfdcd",
+    "subcubic": "1ebdbef294c444ea",
+    "odd": "ad2fc23939cc5e2e",
+}
+
+
+@pytest.mark.parametrize("target", LIFT_DIGESTS)
+def test_lift_partition_digest(tmp_path, capsys, target):
+    inst = random_nae_instance(12, random.Random(7))
+    (tmp_path / "f.nae").write_text(serialize_nae(inst))
+    (tmp_path / "a.txt").write_text("".join(map(str, brute_sat(inst))) + "\n")
+    base = tmp_path / target
+    assert main(["reduce", "--target", target, "--out", str(base), str(tmp_path / "f.nae")]) == 0
+    capsys.readouterr()
+    assert main(["lift", str(base), str(tmp_path / "a.txt")]) == 0
+    line = capsys.readouterr().out.strip()
+    assert hashlib.sha256(line.encode()).hexdigest()[:16] == LIFT_DIGESTS[target]
 
 
 @pytest.mark.parametrize("target", ["bireg", "even", "subcubic", "odd"])

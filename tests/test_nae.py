@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from helpers import CANONICAL_N3, random_nae_instance
+from helpers import CANONICAL_N3, occurrence_slot, random_nae_instance
 from lb2p import NaeFormatError, brute_sat, nae_eval, parse_nae, serialize_nae
-from lb2p.nae import NaeInstance, occurrence_slot, occurrence_slots
+from lb2p.nae import NaeInstance, occurrence_slots
 
 
 def test_parse_canonical():

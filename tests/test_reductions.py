@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import CANONICAL_N3, random_nae_instance, run_optimized
+from helpers import CANONICAL_N3, occurrence_slot, random_nae_instance, run_optimized
 from lb2p import (
     InvalidPartitionError,
     TwoPartition,
@@ -24,7 +24,6 @@ from lb2p import (
     reduce_open_even,
     write_artifact,
 )
-from lb2p.nae import occurrence_slot
 from lb2p.reductions import GAMMA_SIZE, RoleMapError, reduce_by_name
 
 
