@@ -11,7 +11,8 @@ alternate sides, so their length is twice the number of high-side vertices
 they visit: length ≡ 2 (mod 4) exactly when that count is odd.
 
 Both branches start from one breadth-first search over the graph itself
-(``_bfs``), rooted at each component's smallest high-side vertex.  A
+(``_bfs``), rooted at each component's smallest high-side vertex; it reads
+the graph's flat ``indptr``/``nbrs`` arrays, never the tuple adjacency.  A
 degree-2 vertex whose two neighbours share a depth closes an odd cycle of
 the contraction; the certificate path stops at the first one and lifts it
 along the parent pointers, without building the contraction.  Otherwise
@@ -20,12 +21,8 @@ in one pass however many components the graph has.
 
 Every step of ``solve_biregular`` is linear in the size of the graph;
 loading the graph (``parse_graph``) adds one O(m log m) numpy sort.  The
-factor (Petersen's Euler-circuit argument) joins a hub to every vertex of
-the (2k+1)-regular contraction, walks an Euler circuit from the hub and
-keeps alternate edges; each vertex is passed through k+1 times, so it keeps k or k+1 real edges.
-``kk1_factor`` also serves every other k < r by folding k perfect matchings
-of the bipartite double cover into kept and half edges and rounding the
-half edges the same way.  No step recurses.
+factor (Petersen's Euler-circuit argument, ``kk1_factor``) walks Euler
+circuits of the contraction and keeps alternate edges.  No step recurses.
 """
 
 from __future__ import annotations
@@ -33,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Union
+
+import numpy as np
 
 from .balance import TwoPartition, check
 from .graphs import Bipartition, Graph, MultiGraph
@@ -105,12 +104,14 @@ def validate_2odd_biregular(
     """Check membership in the class; side_x is the degree-2 side.
 
     Succeeds iff every vertex has degree 2 or a common odd degree 2k+1
-    (k >= 1) and every edge joins the two degree classes.
+    (k >= 1) and every edge joins the two degree classes.  The test is one
+    numpy pass over the degrees; the bipartition's two sets are built only
+    when they are read.
     """
     if g.n == 0:
         return NotApplicable("empty graph")
-    degs = g.degrees()
-    high = sorted({d for d in degs if d != 2})
+    degs = np.diff(g.indptr)
+    high = np.unique(degs[degs != 2]).tolist()
     if not high:
         return NotApplicable("degrees (2,2); 2 is not 2k+1 with k >= 1")
     if len(high) > 1:
@@ -118,30 +119,32 @@ def validate_2odd_biregular(
     b = high[0]
     if b % 2 == 0 or b < 3:
         return NotApplicable(f"high-side degree {b} is not 2k+1 with k >= 1")
-    xs = [v for v in range(g.n) if degs[v] == 2]
-    if not xs:
+    high_side = degs != 2
+    nx = g.n - int(np.count_nonzero(high_side))
+    if not nx:
         return NotApplicable("no degree-2 side")
-    ys = [v for v in range(g.n) if degs[v] == b]
     # No edge lies inside X iff every neighbor of X has degree b, that is (every
     # degree being 2 or b > 2) iff the 2|X| neighbor degrees of X sum to 2|X|b.
     # Then the 2|X| edges leaving X fill all b|Y| edge ends on Y iff none lies
     # inside Y.
-    x_neighbors = map(g.adj.__getitem__, xs)
-    if b * len(ys) != 2 * len(xs) or sum([degs[u] + degs[v] for u, v in x_neighbors]) != 2 * len(xs) * b:
-        u, v = next((u, v) for u, v in g.edges() if (degs[u] == 2) == (degs[v] == 2))
+    first = g.indptr[:-1][~high_side]
+    x_neighbors = int(degs[g.nbrs[first]].sum() + degs[g.nbrs[first + 1]].sum())
+    if b * (g.n - nx) != 2 * nx or x_neighbors != 2 * nx * b:
+        side = high_side.tolist()
+        u, v = next((u, v) for u, v in g.edges() if side[u] == side[v])
         return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
-    return Bipartition(frozenset(xs), frozenset(ys)), (b - 1) // 2
+    return Bipartition.of_sides(high_side), (b - 1) // 2
 
 
 def build_reduced(g: Graph, bip: Bipartition, k: int) -> ReducedMultigraph:
     """Contract each degree-2 vertex into an edge between its two neighbors."""
     ys = sorted(bip.side_y)
-    local = [0] * g.n
-    for i, y in enumerate(ys):
-        local[y] = i
     provenance = tuple(sorted(bip.side_x))
-    ends = list(map(local.__getitem__, chain.from_iterable(map(g.adj.__getitem__, provenance))))
-    mg = MultiGraph(len(ys), tuple(zip(ends[::2], ends[1::2])))
+    local = np.zeros(g.n, dtype=np.int64)
+    local[ys] = np.arange(len(ys))
+    first = g.indptr[list(provenance)]
+    ends = local[g.nbrs[np.stack((first, first + 1), axis=1)]].tolist()
+    mg = MultiGraph(len(ys), tuple(map(tuple, ends)))
     r = 2 * k + 1
     assert all(d == r for d in mg.degrees()), "reduced multigraph is not regular"
     return ReducedMultigraph(mg, tuple(ys), provenance, k)
@@ -179,13 +182,9 @@ def kk1_factor(m: MultiGraph, k: int) -> FactorResult:
         full = [e for e, c in enumerate(copies) if c == 2]
         half = [e for e, c in enumerate(copies) if c == 1]
     picked = frozenset(_round_half_edges(m, full, half))
-    final = [0] * m.n
-    for i in picked:
-        u, v = m.edges[i]
-        final[u] += 1
-        final[v] += 1
+    final = MultiGraph(m.n, tuple(m.edges[i] for i in picked)).degrees()
     assert all(k <= d <= k + 1 for d in final)
-    return FactorResult(picked, tuple(final))
+    return FactorResult(picked, final)
 
 
 def _round_half_edges(m: MultiGraph, full: Sequence[int], half: Sequence[int]) -> list[int]:
@@ -203,10 +202,7 @@ def _round_half_edges(m: MultiGraph, full: Sequence[int], half: Sequence[int]) -
     """
     hub = m.n
     ends = [m.edges[e] for e in half]
-    half_deg = [0] * m.n
-    for u, v in ends:
-        half_deg[u] += 1
-        half_deg[v] += 1
+    half_deg = np.bincount(np.asarray(ends, dtype=np.int64).ravel(), minlength=m.n).tolist()
     ends += [(hub, v) for v in range(m.n) if half_deg[v] % 2]
     incident: list[list[int]] = [[] for _ in range(hub + 1)]
     for i, (u, v) in enumerate(ends):
@@ -331,30 +327,32 @@ def _bfs(g: Graph) -> tuple[list[int], list[int], int]:
     Returns (depth, parent, x).  x is the first degree-2 vertex popped whose
     other neighbour (not ``parent[x]``) lies one level above it, or -1 when
     the search ran to completion.  High-side depths are twice the depths of
-    the same search on the contraction, and ``g.adj[y]`` lists the degree-2
-    vertices in the order of the contraction's edge ids, so x closes the
-    odd cycle that a BFS 2-colouring of the contraction meets first.
+    the same search on the contraction, and the neighbours of y list the
+    degree-2 vertices in the order of the contraction's edge ids, so x
+    closes the odd cycle that a BFS 2-colouring of the contraction meets
+    first.  The search reads ``indptr`` and ``nbrs`` through memoryviews:
+    flat reads with no copy and no numpy call per vertex.
     """
-    adj = g.adj
+    ptr, nbrs = memoryview(g.indptr), memoryview(g.nbrs)
     depth = [-1] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
-        if depth[root] >= 0 or len(adj[root]) == 2:
+        if depth[root] >= 0 or ptr[root + 1] - ptr[root] == 2:
             continue
         depth[root] = 0
         queue = [root]
         for v in queue:  # the loop also visits what it appends
             d = depth[v] + 1
             if d % 2:  # v is a high-side vertex
-                for x in adj[v]:
+                for x in nbrs[ptr[v] : ptr[v + 1]]:
                     if depth[x] < 0:
                         depth[x] = d
                         parent[x] = v
                         queue.append(x)
             else:
-                w, other = adj[v]
+                w = nbrs[ptr[v]]
                 if w == parent[v]:
-                    w = other
+                    w = nbrs[ptr[v] + 1]
                 if depth[w] < 0:
                     depth[w] = d
                     parent[w] = v
@@ -371,7 +369,7 @@ def _conflict_walk(g: Graph, parent: list[int], x: int) -> list[int]:
     depth, so the walk climbs an even number h of levels and its length
     2h + 2 is ≡ 2 (mod 4)."""
     u = parent[x]
-    w, other = g.adj[x]
+    w, other = g.nbrs[g.indptr[x] : g.indptr[x] + 2].tolist()
     if w == u:
         w = other
     up, down = [u], [w]

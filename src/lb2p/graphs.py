@@ -1,23 +1,23 @@
 """Graph and multigraph primitives: parsing, class predicates, traversal, embedding.
 
-Vertices are dense 0-based indices.  ``Graph`` is simple and undirected with
-sorted adjacency lists; ``MultiGraph`` keeps a raw edge list and allows
-parallel edges but never self-loops.  Both are immutable after construction,
-so instances can be shared freely across threads.
+Vertices are dense 0-based indices.  ``Graph`` is simple and undirected, in
+compressed sparse rows: numpy ``indptr`` (n + 1) and ``nbrs``, each vertex's
+neighbours sorted.  Degrees, edges, ``balance.check``, ``classify``'s degree
+flags and ``validate_2odd_biregular`` read the arrays; ``decide``'s scopes,
+``_two_color`` and the BFSs walk vertex by vertex and read ``Graph.adj``, a
+tuple of tuples built on first use.  ``MultiGraph`` keeps a raw edge list
+with parallel edges but no self-loops.  Both are immutable.
 
-Edges are validated once.  ``parse_graph`` scans the document once in
-numpy, with no Python string per line or token: the whitespace positions
-give the token bounds and lines, and the endpoints are converted a digit
-place at a time.  One numpy pass over the endpoints (shared with
-``Graph.from_edges``) then checks range, loops and repeats and builds the
-sorted adjacency.
+``parse_graph`` scans the document once in numpy, with no Python string per
+line or token; one numpy pass over the endpoints (shared with
+``Graph.from_edges``) checks range, loops and repeats and sorts the arcs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -94,9 +94,10 @@ def _int64_ends(flat: Sequence[int]) -> np.ndarray:
         return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
 
 
-def _adjacency(n: int, ends: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Sorted adjacency of the edges ``ends`` (int64 pairs) on 0..n-1, for
-    0 <= n <= MAX_VERTICES.
+def _csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``nbrs`` of the edges ``ends`` (int64 pairs) on 0..n-1,
+    for 0 <= n <= MAX_VERTICES: the neighbours of v are
+    ``nbrs[indptr[v]:indptr[v + 1]]``, sorted.
 
     Raises ``_EdgeError`` for the first edge, in input order, that leaves
     0..n-1, is a self-loop or repeats an earlier edge.
@@ -106,8 +107,9 @@ def _adjacency(n: int, ends: np.ndarray) -> tuple[tuple[int, ...], ...]:
     if stop and (ends.min() < 0 or ends.max() >= n):
         stop, kind = int(((ends < 0) | (ends >= n)).any(axis=1).argmax()), "range"
     u, v = ends[:stop, 0], ends[:stop, 1]
-    arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
-    if len(arcs) > 1 and np.diff(arcs).min() == 0:  # a loop or a repeated edge repeats an arc
+    arcs = np.concatenate((u * n + v, v * n + u))
+    arcs.sort()
+    if (arcs[1:] == arcs[:-1]).any():  # a loop or a repeated edge repeats an arc
         loops = u == v
         if loops.any():
             stop, kind = int(loops.argmax()), "loop"
@@ -118,17 +120,38 @@ def _adjacency(n: int, ends: np.ndarray) -> tuple[tuple[int, ...], ...]:
             stop, kind = int(repeats.min()), "duplicate"
     if kind is not None:
         raise _EdgeError(stop, kind)
-    targets = tuple((arcs % n).tolist()) if n else ()
-    bounds = np.cumsum(np.bincount(ends.ravel(), minlength=n)).tolist()
-    return tuple([targets[a:b] for a, b in zip([0] + bounds[:-1], bounds)])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends.ravel(), minlength=n), out=indptr[1:])
+    if n:
+        arcs %= n  # each arc u*n+v becomes its head v
+    indptr.flags.writeable = arcs.flags.writeable = False
+    return indptr, arcs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency."""
+    """Simple undirected graph on vertices 0..n-1 in compressed sparse rows:
+    the neighbours of v are ``nbrs[indptr[v]:indptr[v + 1]]``, sorted.
+
+    Both arrays are int64; ``from_edges`` and ``parse_graph`` make them
+    read-only.  Two graphs are equal, and hash alike, when they have the
+    same n and the same edges; a ``Graph`` never equals a value of another
+    type.  ``adj``, the neighbours as a tuple of tuples, is built on first
+    use and then kept.
+    """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    nbrs: np.ndarray
+
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.indptr.tobytes(), self.nbrs.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Graph) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -140,35 +163,43 @@ class Graph:
         if pairs and set(map(len, pairs)) != {2}:
             raise ValueError("every edge must be a pair (u, v)")
         try:
-            return cls(n, _adjacency(n, _int64_ends(list(chain.from_iterable(pairs)))))
+            return cls(n, *_csr(n, _int64_ends(list(chain.from_iterable(pairs)))))
         except _EdgeError as exc:
             u, v = pairs[exc.index]
             if exc.kind == "range":
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}") from None
             raise ValueError(_describe(exc.kind, u, v)) from None
 
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbours of each vertex, for layers that walk every vertex."""
+        targets = tuple(self.nbrs.tolist())
+        bounds = self.indptr.tolist()
+        return tuple([targets[a:b] for a, b in zip(bounds, bounds[1:])])
+
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.nbrs) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        v = range(self.n)[v]  # a sequence's index rules: negatives wrap, others raise IndexError
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+        return tuple(np.diff(self.indptr).tolist())
+
+    def tails(self) -> np.ndarray:
+        """The vertex each entry of ``nbrs`` belongs to."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min,max) pairs in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        tails = self.tails()
+        up = tails < self.nbrs
+        return list(zip(tails[up].tolist(), self.nbrs[up].tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if len(self.adj[u]) <= len(self.adj[v]) else (v, u)
-        return b in self.adj[a]
+        return bool(v in self.nbrs[self.indptr[u] : self.indptr[u + 1]])
 
 
 @dataclass(frozen=True)
@@ -185,23 +216,33 @@ class MultiGraph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
 
-    def degree(self, v: int) -> int:
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
     def degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for u, w in self.edges:
-            degs[u] += 1
-            degs[w] += 1
-        return tuple(degs)
+        ends = np.asarray(self.edges, dtype=np.int64).ravel()
+        return tuple(np.bincount(ends, minlength=self.n).tolist())
 
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Two disjoint vertex sets covering V; every edge joins side_x to side_y."""
+    """Two disjoint vertex sets covering V; every edge joins side_x to side_y.
+
+    ``Bipartition.of_sides(side)`` takes each vertex's side as an array, 0
+    for side_x and 1 for side_y, and builds the two sets on their first read.
+    """
 
     side_x: frozenset[int]
     side_y: frozenset[int]
+
+    @classmethod
+    def of_sides(cls, side: np.ndarray) -> "Bipartition":
+        bip = object.__new__(cls)
+        bip.__dict__["_side"] = side
+        return bip
+
+    def __getattr__(self, name: str) -> frozenset[int]:  # reached only for a set not built yet
+        if name not in ("side_x", "side_y") or "_side" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__[name] = frozenset(np.flatnonzero(self._side == (name == "side_y")).tolist())
+        return self.__dict__[name]
 
 
 @dataclass(frozen=True)
@@ -242,14 +283,18 @@ def _tokens(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
         high_cls = _HIGH_CLASS[high] * (_HIGH_CODES[high] == chars)
         cls = np.where(chars <= 32, _LOW_CLASS[chars.clip(max=32)], high_cls)
     keep = cls > 0
-    space, ends_line = pos[keep], cls[keep] == 2
+    # Positions below 2**31 fit in int32, which halves the scan's memory.
+    space = pos[keep].astype(np.int32 if len(codes) < 2**31 else np.int64)
+    ends_line = cls[keep] == 2
+    del pos, cls, keep
     if "\r\n" in text:  # its "\n" ends no line of its own
         crlf = np.flatnonzero(ends_line)
         at = space[crlf]
         ends_line[crlf[(codes[at] == 10) & (codes[np.maximum(at - 1, 0)] == 13)]] = False
-    bounds = np.concatenate(([-1], space, [len(codes)]))
+    bounds = np.empty(len(space) + 2, dtype=space.dtype)
+    bounds[0], bounds[1:-1], bounds[-1] = -1, space, len(codes)
     gaps = np.flatnonzero(np.diff(bounds) > 1)
-    line_of = np.concatenate(([0], np.cumsum(ends_line)))[gaps]
+    line_of = np.cumsum(np.concatenate(([False], ends_line)), dtype=space.dtype)[gaps]
     return codes, bounds[gaps] + 1, bounds[gaps + 1], line_of, space[ends_line]
 
 
@@ -275,7 +320,7 @@ def _endpoints(
     Every other token goes through ``int()``.
     """
     lengths = np.minimum(stops - starts, 19).astype(np.uint8)
-    order = np.argsort(lengths, kind="stable")  # a radix sort on uint8
+    order = np.argsort(lengths, kind="stable").astype(starts.dtype)  # a radix sort on uint8
     lengths, first = lengths[order], starts[order]
     value = np.zeros(len(order), dtype=np.int64)
     other = lengths > 18
@@ -290,6 +335,7 @@ def _endpoints(
         other[live:short] |= digit > 9
         value[live:short] *= 10
         value[live:short] += digit
+    del first
     values = np.empty_like(value)
     values[order] = value
     for i in np.sort(order[other]).tolist():
@@ -340,9 +386,10 @@ def parse_graph(text: str) -> Graph:
     # Every line boundary is whitespace, so after the header's two tokens the
     # document's tokens are those of the edge lines, in order.
     count = 2 + int(widths[:stop].sum())
-    values, bad = _endpoints(text, codes, starts[2:count], stops[2:count])
     edge_line = line_of[2:count:2] + 1  # the line of each edge
-    del codes, starts, stops, line_of, widths  # free the scan before the adjacency
+    del line_of, widths
+    values, bad = _endpoints(text, codes, starts[2:count], stops[2:count])
+    del codes, starts, stops  # free the scan before the adjacency
     if bad is not None:
         line = int(edge_line[bad // 2])
         values = values[: bad - bad % 2]
@@ -350,7 +397,7 @@ def parse_graph(text: str) -> Graph:
         pending = GraphFormatError("malformed", f"non-integer endpoint in {raw!r}", line)
     ends = values.reshape(-1, 2)
     try:
-        adj = _adjacency(n, ends)
+        indptr, nbrs = _csr(n, ends)
     except _EdgeError as exc:
         line = int(edge_line[exc.index])
         u, v = map(int, _line(text, breaks, line - 1).split())
@@ -359,14 +406,15 @@ def parse_graph(text: str) -> Graph:
         raise pending
     if len(ends) != m:
         raise GraphFormatError("truncated", f"header promises {m} edges, found {len(ends)}", nlines)
-    return Graph(n, adj)
+    return Graph(n, indptr, nbrs)
 
 
 def serialize_graph(g: Graph) -> str:
     """Canonical form: header then edges sorted as (min,max) lexicographically."""
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    tails = g.tails()
+    up = tails < g.nbrs  # each edge once, as in ``edges``, without a tuple per edge
+    lines = [f"{u} {v}" for u, v in zip(tails[up].tolist(), g.nbrs[up].tolist())]
+    return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
 
 
 def _two_color(g: Graph) -> Optional[tuple[list[int], list[int]]]:
@@ -382,9 +430,8 @@ def _two_color(g: Graph) -> Optional[tuple[list[int], list[int]]]:
             continue
         color[root] = 0
         comp[root] = ncomp
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        queue = [root]
+        for u in queue:  # the loop also visits what it appends
             cu = color[u]
             for v in g.adj[u]:
                 if color[v] == -1:
@@ -405,37 +452,27 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
     colored = _two_color(g)
     if colored is None:
         return None
-    color, _ = colored
-    return Bipartition(
-        frozenset(v for v in range(g.n) if color[v] == 0),
-        frozenset(v for v in range(g.n) if color[v] == 1),
-    )
+    return Bipartition.of_sides(np.array(colored[0]))
 
 
-def _biregular_pair(g: Graph, color: list[int], comp: list[int]) -> Optional[tuple[int, int]]:
+def _biregular_pair(degs: np.ndarray, color: list[int], comp: list[int]) -> Optional[tuple[int, int]]:
     # Merge per-component side degrees into one global (a,b); a component with
     # both sides nonempty pins the multiset, a singleton only demands that its
-    # degree (0) belongs to the pair.
-    ncomp = max(comp) + 1 if g.n else 0
-    sides: list[tuple[set[int], set[int]]] = [(set(), set()) for _ in range(ncomp)]
-    for v in range(g.n):
-        sides[comp[v]][color[v]].add(g.degree(v))
-    pinned: Optional[tuple[int, int]] = None
-    singles: set[int] = set()
-    for d0, d1 in sides:
-        if len(d0) > 1 or len(d1) > 1:
-            return None
-        if not d1:
-            singles.update(d0)
-            continue
-        pair = tuple(sorted((next(iter(d0)), next(iter(d1)))))
-        if pinned is None:
-            pinned = pair
-        elif pinned != pair:
-            return None
-    if pinned is None:
-        pinned = (0, 0)
-    if any(d not in pinned for d in singles):
+    # degree (0) belongs to the pair.  ``side_deg`` keeps one degree per
+    # (component, colour); a side is regular iff every vertex agrees with it.
+    side = np.asarray(comp) * 2 + np.asarray(color)
+    side_deg = np.full(side.max() // 2 * 2 + 2, -1)
+    side_deg[side] = degs
+    if (side_deg[side] != degs).any():
+        return None
+    d0, d1 = side_deg[0::2], side_deg[1::2]
+    both = d1 >= 0  # a component without colour 1 is a singleton
+    lo, hi = np.minimum(d0, d1)[both], np.maximum(d0, d1)[both]
+    pinned = (int(lo[0]), int(hi[0])) if len(lo) else (0, 0)
+    if (lo != pinned[0]).any() or (hi != pinned[1]).any():
+        return None
+    singles = d0[~both]
+    if ((singles != pinned[0]) & (singles != pinned[1])).any():
         return None
     return pinned
 
@@ -447,15 +484,25 @@ def classify(g: Graph) -> ClassReport:
     ``biregular`` is present iff the graph is bipartite and admits a
     bipartition with one side a-regular and the other b-regular (a <= b).
     """
-    degs = g.degrees()
-    is_even = all(d % 2 == 0 for d in degs)
-    is_odd = all(d % 2 == 1 for d in degs)
-    max_degree = max(degs, default=0)
+    degs = np.diff(g.indptr)
+    odd = degs % 2 == 1
     colored = _two_color(g)
-    bireg = None
-    if colored is not None and g.n > 0:
-        bireg = _biregular_pair(g, *colored)
-    return ClassReport(is_even, is_odd, max_degree, bireg, colored is not None)
+    bireg = _biregular_pair(degs, *colored) if colored is not None and g.n > 0 else None
+    max_degree = int(degs.max()) if g.n else 0
+    return ClassReport(not odd.any(), bool(odd.all()), max_degree, bireg, colored is not None)
+
+
+def _reach(g: Graph, source: int, dist: list[Optional[int]]) -> list[int]:
+    """Breadth-first search from source over the vertices whose ``dist`` is
+    None; fills in their edge counts and returns them in visiting order."""
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the loop also visits what it appends
+        for v in g.adj[u]:
+            if dist[v] is None:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return queue
 
 
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
@@ -463,37 +510,14 @@ def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
     dist: list[Optional[int]] = [None] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.adj[u]:
-            if dist[v] is None:
-                dist[v] = du + 1
-                queue.append(v)
+    _reach(g, source, dist)
     return dist
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists per component, ordered by lowest member."""
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        members = [root]
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    members.append(v)
-                    queue.append(v)
-        comps.append(sorted(members))
-    return comps
+    dist: list[Optional[int]] = [None] * g.n
+    return [sorted(_reach(g, root, dist)) for root in range(g.n) if dist[root] is None]
 
 
 def embed_gadget(

@@ -317,12 +317,14 @@ def summary(artifact: ReductionArtifact) -> str:
 def _clause_pvars(artifact: ReductionArtifact, index: dict[Role, int]) -> list[list[tuple[int, int]]]:
     """Per clause, the (p vertex, variable) pairs adjacent to its clause
     vertex, in vertex order; RoleMapError unless there are three."""
-    roles, adj = artifact.roles, artifact.graph.adj
+    roles = artifact.roles
+    ptr, nbrs = memoryview(artifact.graph.indptr), memoryview(artifact.graph.nbrs)
     closed = artifact.mode == "closed"
     out = []
     for j in range(artifact.n_clauses):
         qv = index[("q", (j,) if closed else (j, 1))]
-        members = [(w, roles[w][1][0]) for w in adj[qv] if roles[w][0] == "p"]
+        around = nbrs[ptr[qv] : ptr[qv + 1]]
+        members = [(w, roles[w][1][0]) for w in around if roles[w][0] == "p"]
         if len(members) != 3:
             raise RoleMapError(
                 f"clause vertex {qv} has {len(members)} variable neighbours, expected 3"

@@ -489,9 +489,7 @@ def brute_force(
     if n == 0:
         return SolveOutcome("sat", TwoPartition(()), 0, 0)
     a = np.zeros((n, n), dtype=np.float32)
-    for u in range(n):
-        for v in g.adj[u]:
-            a[u, v] = 1.0
+    a[g.tails(), g.nbrs] = 1.0
     if mode == "closed":
         a += np.eye(n, dtype=np.float32)
     a = a[:, [v for v in range(n) if v not in wv]]

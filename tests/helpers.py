@@ -10,6 +10,8 @@ from collections import deque
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 import lb2p
 from lb2p import Bipartition, Graph, GraphFormatError, MultiGraph, NotApplicable, TwoPartition
 from lb2p.biregular import (
@@ -186,7 +188,42 @@ def reference_parse_graph(text: str) -> Graph:
         raise GraphFormatError(
             "truncated", f"header promises {m} edges, found {len(seen)}", lineno
         )
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj))
+    # The CSR arrays in pure Python, so that the oracle shares no code with
+    # the loader's numpy adjacency.
+    indptr = [0]
+    for a in adj:
+        indptr.append(indptr[-1] + len(a))
+    nbrs = [v for a in adj for v in sorted(a)]
+    return Graph(n, np.array(indptr, dtype=np.int64), np.array(nbrs, dtype=np.int64))
+
+
+def reference_biregular_pair(g: Graph, color: list[int], comp: list[int]):
+    """The per-vertex loop behind ``classify``'s biregular pair, kept as an
+    oracle for ``graphs._biregular_pair``: per component and colour the set
+    of degrees; a component with both sides pins the sorted pair, and a
+    singleton only demands that its degree (0) belongs to the pair."""
+    ncomp = max(comp) + 1 if g.n else 0
+    sides: list[tuple[set[int], set[int]]] = [(set(), set()) for _ in range(ncomp)]
+    for v in range(g.n):
+        sides[comp[v]][color[v]].add(g.degree(v))
+    pinned = None
+    singles: set[int] = set()
+    for d0, d1 in sides:
+        if len(d0) > 1 or len(d1) > 1:
+            return None
+        if not d1:
+            singles.update(d0)
+            continue
+        pair = tuple(sorted((next(iter(d0)), next(iter(d1)))))
+        if pinned is None:
+            pinned = pair
+        elif pinned != pair:
+            return None
+    if pinned is None:
+        pinned = (0, 0)
+    if any(d not in pinned for d in singles):
+        return None
+    return pinned
 
 
 def reference_validate_2odd_biregular(g: Graph):
@@ -343,7 +380,8 @@ def _lca_cycle(u, w, closing_edge, parent, parent_edge, depth):
         path_w.append(pw)
     verts = path_u + list(reversed(path_w[:-1]))
     edges = edges_u + list(reversed(edges_w)) + [closing_edge]
-    assert len(verts) == len(edges) and len(verts) % 2 == 1
+    if len(verts) != len(edges) or len(verts) % 2 == 0:
+        raise AssertionError(f"not an odd cycle: {len(verts)} vertices, {len(edges)} edges")
     return verts, edges
 
 

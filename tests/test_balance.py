@@ -148,3 +148,41 @@ def test_parse_partition():
         parse_partition("001\n", 4)
     with pytest.raises(ValueError):
         parse_partition("00x1\n", 4)
+
+
+def _per_vertex_balances(n, edges, labels, mode):
+    """The phi-star balances by a per-vertex sum over a pure-Python adjacency."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    phi = [1 if x else -1 for x in labels]
+    return [sum(phi[u] for u in adj[v]) + (phi[v] if mode == "closed" else 0) for v in range(n)]
+
+
+def test_segment_sums_match_per_vertex_sums():
+    rng = random.Random(6)
+    for trial in range(400):
+        n = 0 if trial == 0 else rng.randint(1, 40)
+        g = erdos_renyi(n, rng.choice([0.05, 0.2, 0.6]), rng)  # sparse draws leave isolated vertices
+        labels = tuple(rng.randint(0, 1) for _ in range(n))
+        p = TwoPartition(labels)
+        edges = g.edges()
+        rep = balance_report(g, p)
+        open_b = _per_vertex_balances(n, edges, labels, "open")
+        closed_b = _per_vertex_balances(n, edges, labels, "closed")
+        assert rep.open_balance == tuple(open_b) and rep.closed_balance == tuple(closed_b)
+        assert rep.open_valid == all(abs(b) <= 1 for b in open_b)
+        assert rep.closed_valid == all(abs(b) <= 1 for b in closed_b)
+        assert all(type(b) is int for b in rep.open_balance + rep.closed_balance)
+        for mode, bal in (("open", open_b), ("closed", closed_b)):
+            bad = check(g, p, mode)
+            assert bad == [v for v, b in enumerate(bal) if abs(b) > 1]
+            assert all(type(v) is int for v in bad)
+        for wrong in {0, n + 1, max(n - 1, 0)} - {n}:
+            message = f"partition has {wrong} labels for {n} vertices"
+            with pytest.raises(ValueError, match=message):
+                balance_report(g, TwoPartition((0,) * wrong))
+            for mode in ("open", "closed"):
+                with pytest.raises(ValueError, match=message):
+                    check(g, TwoPartition((1,) * wrong), mode)

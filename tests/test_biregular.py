@@ -221,6 +221,16 @@ def test_solve_k23_witness_matches_example():
     assert not check(complete_bipartite(2, 3), res.partition, "open")
 
 
+def test_certificate_path_never_builds_the_tuple_adjacency():
+    rng = random.Random(29)
+    g = random_biregular(200, 9, rng)
+    assert isinstance(solve_biregular(g), Certificate)
+    assert has_bad_cycle(g)
+    inside = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert isinstance(validate_2odd_biregular(inside), NotApplicable)
+    assert "adj" not in vars(g) and "adj" not in vars(inside)
+
+
 def test_solve_subdivided_k4_certificate():
     g = subdivide(complete(4))
     res = solve_biregular(g)

@@ -96,6 +96,18 @@ def test_solve_stats_line_leaves_stdout_unchanged(files, capsys, name, extra):
         assert stats["conflicts"] == 1
 
 
+def test_check_never_builds_the_tuple_adjacency(files, capsys, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(cli, "parse_graph", lambda text: loaded.append(parse_graph(text)) or loaded[-1])
+    big = files["tmp"] / "c10000.graph"
+    big.write_text(serialize_graph(cycle(10**4)))
+    part = files["tmp"] / "c10000.part"
+    part.write_text("0011" * (10**4 // 4) + "\n")
+    assert main(["check", "--mode", "open", str(big), str(part)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+    assert len(loaded) == 1 and loaded[0].n == 10**4 and "adj" not in vars(loaded[0])
+
+
 def test_graph_too_large_to_allocate_is_exit_2(files, capsys, monkeypatch):
     def exhausted(text):
         raise MemoryError("Unable to allocate 1.49 GiB")

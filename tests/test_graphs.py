@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_bipartite, cycle, erdos_renyi, path, reference_parse_graph
+from helpers import (
+    bipartite_witness_graph,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    erdos_renyi,
+    path,
+    random_biregular,
+    reference_biregular_pair,
+    reference_parse_graph,
+)
 from lb2p import (
     Graph,
     GraphFormatError,
@@ -17,7 +28,14 @@ from lb2p import (
     serialize_graph,
 )
 from lb2p.gadgets import gadget_f2
-from lb2p.graphs import MAX_VERTICES, DuplicateAttachmentError, NonInputAttachmentError, _tokens
+from lb2p.graphs import (
+    MAX_VERTICES,
+    DuplicateAttachmentError,
+    NonInputAttachmentError,
+    _biregular_pair,
+    _tokens,
+    _two_color,
+)
 
 
 def test_parse_k2():
@@ -188,6 +206,62 @@ def test_from_edges_reports_first_bad_edge():
     assert Graph.from_edges(3, iter([(2, 0), (1, 0)])).adj == ((1, 2), (0,), (0,))
 
 
+@st.composite
+def _edge_lists(draw):
+    """n <= 12 and a list of distinct edges in random order and orientation."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    seen, edges = set(), []
+    for u, v in pairs:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_csr_views_match_python_adjacency(case):
+    n, edges = case
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    g = Graph.from_edges(n, edges)
+    assert g.m == len(edges)
+    assert g.degrees() == tuple(len(a) for a in adj)
+    assert [g.degree(v) for v in range(-n, n)] == [len(a) for a in adj + adj]
+    with pytest.raises(IndexError):
+        g.degree(n)
+    assert g.edges() == sorted((min(u, v), max(u, v)) for u, v in edges)
+    assert all(g.has_edge(u, v) == (v in adj[u]) for u in range(n) for v in range(n))
+    assert g.indptr.tolist() == [sum(len(a) for a in adj[:v]) for v in range(n + 1)]
+    assert "adj" not in vars(g)  # none of the above builds the tuple view
+    assert g.adj == tuple(tuple(sorted(a)) for a in adj)
+    assert "adj" in vars(g) and g.adj is g.adj
+
+
+def test_graph_equality_and_hash():
+    a = Graph.from_edges(4, [(0, 1), (2, 3)])
+    b = parse_graph("4 2\n3 2\n1 0\n")
+    c = Graph(4, np.array([0, 1, 2, 3, 4]), np.array([1, 0, 3, 2]))
+    assert a == b == c and hash(a) == hash(b) == hash(c) and len({a, b, c}) == 1
+    b.adj  # the cached view takes no part in equality
+    assert a == b and hash(a) == hash(b)
+    assert a != Graph.from_edges(5, [(0, 1), (2, 3)])
+    assert a != Graph.from_edges(4, [(0, 1), (1, 2)])
+    assert Graph.from_edges(0, []) == Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert a.__eq__((4, "x")) is NotImplemented and a != (4, "x") and (4, "x") != a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.n = 5
+    for array in (a.indptr, a.nbrs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 3
+    assert a.nbrs.dtype == a.indptr.dtype == np.int64
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_serialize_parse_roundtrip(seed):
@@ -261,6 +335,43 @@ def test_classify_biregular_implies_bipartition():
         g = erdos_renyi(rng.randint(1, 9), 0.4, rng)
         if classify(g).biregular is not None:
             assert bipartition(g) is not None
+
+
+def _bipartite_unions(rng: random.Random):
+    """Seeded bipartite graphs: single parts and shuffled disjoint unions of
+    complete bipartite graphs, even cycles, paths, (2,b)-biregular graphs
+    and isolated vertices."""
+    def part():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return complete_bipartite(rng.randint(1, 4), rng.randint(1, 4))
+        if kind == 1:
+            return cycle(2 * rng.randint(2, 5))
+        if kind == 2:
+            return path(rng.randint(2, 6))
+        if kind == 3:
+            return random_biregular(rng.choice([2, 4]), rng.choice([3, 5]), rng)
+        if kind == 4:
+            return bipartite_witness_graph(rng.randint(1, 3), rng.choice([2, 3]), rng)
+        return Graph.from_edges(1, [])
+
+    for _ in range(600):
+        parts = [part() for _ in range(rng.choice([1, 1, 2, 3]))]
+        if rng.random() < 0.5:  # the same part repeated: unions that keep a pair
+            parts = parts[:1] * rng.randint(1, 3)
+        yield disjoint_union(parts, rng)
+
+
+def test_biregular_pair_matches_per_vertex_loop():
+    pairs = nones = 0
+    for g in _bipartite_unions(random.Random(2024)):
+        color, comp = _two_color(g)
+        expected = reference_biregular_pair(g, color, comp)
+        assert _biregular_pair(np.diff(g.indptr), color, comp) == expected
+        assert classify(g).biregular == expected
+        pairs += expected is not None
+        nones += expected is None
+    assert pairs >= 150 and nones >= 150
 
 
 def test_classify_nonbipartite_has_no_biregular():
