@@ -12,7 +12,7 @@ they visit: length ≡ 2 (mod 4) exactly when that count is odd.
 
 Both branches start from one breadth-first search over the graph itself
 (``_bfs``), rooted at each component's smallest high-side vertex; it reads
-the graph's flat ``indptr``/``nbrs`` arrays, never the tuple adjacency.  A
+the graph's CSR arrays ``indptr``/``nbrs``, its only representation.  A
 degree-2 vertex whose two neighbours share a depth closes an odd cycle of
 the contraction; the certificate path stops at the first one and lifts it
 along the parent pointers, without building the contraction.  Otherwise
@@ -146,7 +146,8 @@ def build_reduced(g: Graph, bip: Bipartition, k: int) -> ReducedMultigraph:
     ends = local[g.nbrs[np.stack((first, first + 1), axis=1)]].tolist()
     mg = MultiGraph(len(ys), tuple(map(tuple, ends)))
     r = 2 * k + 1
-    assert all(d == r for d in mg.degrees()), "reduced multigraph is not regular"
+    if any(d != r for d in mg.degrees()):
+        raise AssertionError("reduced multigraph is not regular")
     return ReducedMultigraph(mg, tuple(ys), provenance, k)
 
 
@@ -183,7 +184,8 @@ def kk1_factor(m: MultiGraph, k: int) -> FactorResult:
         half = [e for e, c in enumerate(copies) if c == 1]
     picked = frozenset(_round_half_edges(m, full, half))
     final = MultiGraph(m.n, tuple(m.edges[i] for i in picked)).degrees()
-    assert all(k <= d <= k + 1 for d in final)
+    if any(not k <= d <= k + 1 for d in final):
+        raise AssertionError(f"factor degrees {sorted(set(final))} leave [{k}, {k + 1}]")
     return FactorResult(picked, final)
 
 
@@ -270,7 +272,8 @@ def _double_cover_copies(m: MultiGraph, k: int) -> list[int]:
                     stack.pop()
                     if path:
                         path.pop()
-            assert path, "double cover has no perfect matching"
+            if not path:
+                raise AssertionError("double cover has no perfect matching")
         for a in match:
             used[a] = True
     return [used[2 * e] + used[2 * e + 1] for e in range(len(m.edges))]
@@ -285,8 +288,9 @@ def extract_cycle_2mod4(walk: list[int]) -> list[int]:
     recursing on it terminates in a simple cycle.
     """
     walk = list(walk)
+    if len(walk) % 4 != 2:
+        raise ValueError(f"walk has length {len(walk)}, not 2 (mod 4)")
     while True:
-        assert len(walk) % 4 == 2
         pos: dict[int, int] = {}
         split = None
         for j, v in enumerate(walk):
@@ -300,7 +304,8 @@ def extract_cycle_2mod4(walk: list[int]) -> list[int]:
         inner = walk[i:j]
         outer = walk[:i] + walk[j:]
         pick = inner if len(inner) % 4 == 2 else outer
-        assert len(pick) % 4 == 2 and len(pick) >= 6
+        if len(pick) % 4 != 2 or len(pick) < 6:
+            raise AssertionError(f"sub-walk has length {len(pick)}, not 2 (mod 4) and >= 6")
         walk = pick
 
 

@@ -2,11 +2,11 @@
 
 Vertices are dense 0-based indices.  ``Graph`` is simple and undirected, in
 compressed sparse rows: numpy ``indptr`` (n + 1) and ``nbrs``, each vertex's
-neighbours sorted.  Degrees, edges, ``balance.check``, ``classify``'s degree
-flags and ``validate_2odd_biregular`` read the arrays; ``decide``'s scopes,
-``_two_color`` and the BFSs walk vertex by vertex and read ``Graph.adj``, a
-tuple of tuples built on first use.  ``MultiGraph`` keeps a raw edge list
-with parallel edges but no self-loops.  Both are immutable.
+neighbours sorted, its only representation.  Degrees, edges and the class
+tests read the arrays in numpy; every traversal here (``bfs_distances``,
+``connected_components`` and the 2-colouring of ``bipartition`` and
+``classify``) runs on one BFS, ``_reach``.  ``MultiGraph`` keeps a raw edge
+list with parallel edges but no self-loops.  Both are immutable.
 
 ``parse_graph`` scans the document once in numpy, with no Python string per
 line or token; one numpy pass over the endpoints (shared with
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -136,8 +135,7 @@ class Graph:
     Both arrays are int64; ``from_edges`` and ``parse_graph`` make them
     read-only.  Two graphs are equal, and hash alike, when they have the
     same n and the same edges; a ``Graph`` never equals a value of another
-    type.  ``adj``, the neighbours as a tuple of tuples, is built on first
-    use and then kept.
+    type.  The two arrays are the whole representation: nothing is cached.
     """
 
     n: int
@@ -170,13 +168,6 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}") from None
             raise ValueError(_describe(exc.kind, u, v)) from None
 
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted neighbours of each vertex, for layers that walk every vertex."""
-        targets = tuple(self.nbrs.tolist())
-        bounds = self.indptr.tolist()
-        return tuple([targets[a:b] for a, b in zip(bounds, bounds[1:])])
-
     @property
     def m(self) -> int:
         return len(self.nbrs) // 2
@@ -199,6 +190,7 @@ class Graph:
         return list(zip(tails[up].tolist(), self.nbrs[up].tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = range(self.n)[u], range(self.n)[v]  # the index rules of ``degree``
         return bool(v in self.nbrs[self.indptr[u] : self.indptr[u + 1]])
 
 
@@ -417,30 +409,39 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
 
 
-def _two_color(g: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """BFS 2-coloring.  Returns (color, component id) or None on an odd cycle.
-
-    Component roots are taken in increasing index order and colored 0.
-    """
-    color = [-1] * g.n
-    comp = [-1] * g.n
-    ncomp = 0
-    for root in range(g.n):
-        if color[root] != -1:
+def _reach(g: Graph, roots: Iterable[int], dist: list[Optional[int]]) -> Iterable[list[int]]:
+    """Breadth-first search from each of ``roots`` that ``dist`` still marks
+    unreached (None): fills in edge counts from that root and yields the
+    vertices reached, in visiting order.  It reads ``indptr`` and ``nbrs``
+    through memoryviews, as ``biregular._bfs`` does: no copy, no numpy call
+    per vertex."""
+    ptr, nbrs = memoryview(g.indptr), memoryview(g.nbrs)
+    for root in roots:
+        if dist[root] is not None:
             continue
-        color[root] = 0
-        comp[root] = ncomp
+        dist[root] = 0
         queue = [root]
         for u in queue:  # the loop also visits what it appends
-            cu = color[u]
-            for v in g.adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - cu
-                    comp[v] = ncomp
+            d = dist[u] + 1
+            for v in nbrs[ptr[u] : ptr[u + 1]]:
+                if dist[v] is None:
+                    dist[v] = d
                     queue.append(v)
-                elif color[v] == cu:
-                    return None
-        ncomp += 1
+        yield queue
+
+
+def _two_color(g: Graph) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """2-colouring by BFS depth parity: (colour, component id) arrays, or
+    None if an edge joins two equal parities (an odd cycle).  Roots are taken
+    in index order, so each is its component's smallest vertex, coloured 0,
+    and a component's id is its root's ordinal."""
+    dist: list[Optional[int]] = [None] * g.n
+    comps = list(_reach(g, range(g.n), dist))
+    color = np.array(dist, dtype=np.int64) % 2
+    if (color[g.tails()] == color[g.nbrs]).any():
+        return None
+    comp = np.empty(g.n, dtype=np.int64)
+    comp[list(chain.from_iterable(comps))] = np.repeat(np.arange(len(comps)), list(map(len, comps)))
     return color, comp
 
 
@@ -452,15 +453,15 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
     colored = _two_color(g)
     if colored is None:
         return None
-    return Bipartition.of_sides(np.array(colored[0]))
+    return Bipartition.of_sides(colored[0])
 
 
-def _biregular_pair(degs: np.ndarray, color: list[int], comp: list[int]) -> Optional[tuple[int, int]]:
+def _biregular_pair(degs: np.ndarray, color: np.ndarray, comp: np.ndarray) -> Optional[tuple[int, int]]:
     # Merge per-component side degrees into one global (a,b); a component with
     # both sides nonempty pins the multiset, a singleton only demands that its
     # degree (0) belongs to the pair.  ``side_deg`` keeps one degree per
     # (component, colour); a side is regular iff every vertex agrees with it.
-    side = np.asarray(comp) * 2 + np.asarray(color)
+    side = comp * 2 + color
     side_deg = np.full(side.max() // 2 * 2 + 2, -1)
     side_deg[side] = degs
     if (side_deg[side] != degs).any():
@@ -492,32 +493,19 @@ def classify(g: Graph) -> ClassReport:
     return ClassReport(not odd.any(), bool(odd.all()), max_degree, bireg, colored is not None)
 
 
-def _reach(g: Graph, source: int, dist: list[Optional[int]]) -> list[int]:
-    """Breadth-first search from source over the vertices whose ``dist`` is
-    None; fills in their edge counts and returns them in visiting order."""
-    dist[source] = 0
-    queue = [source]
-    for u in queue:  # the loop also visits what it appends
-        for v in g.adj[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return queue
-
-
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Shortest-path edge counts from source; None for unreachable vertices."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
     dist: list[Optional[int]] = [None] * g.n
-    _reach(g, source, dist)
+    next(_reach(g, [source], dist))
     return dist
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists per component, ordered by lowest member."""
     dist: list[Optional[int]] = [None] * g.n
-    return [sorted(_reach(g, root, dist)) for root in range(g.n) if dist[root] is None]
+    return [sorted(queue) for queue in _reach(g, range(g.n), dist)]
 
 
 def embed_gadget(

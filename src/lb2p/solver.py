@@ -93,11 +93,11 @@ class ConstraintSystem:
         wv = frozenset(waived)
         if any(not (0 <= v < g.n) for v in wv):
             raise ValueError("waived vertex out of range")
-        if mode == "open":
-            scopes = g.adj
-        else:
-            scopes = tuple(tuple(sorted(g.adj[v] + (v,))) for v in range(g.n))
-        return cls(g.n, mode, scopes, wv)
+        bounds, targets = g.indptr.tolist(), tuple(g.nbrs.tolist())
+        rows = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+        if mode == "closed":
+            rows = [tuple(sorted(row + (v,))) for v, row in enumerate(rows)]
+        return cls(g.n, mode, tuple(rows), wv)
 
 
 @dataclass(frozen=True)

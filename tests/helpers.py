@@ -66,6 +66,12 @@ def disjoint_union(parts: list[Graph], rng: random.Random | None = None) -> Grap
     return Graph.from_edges(n, edges)
 
 
+def adjacency(g: Graph) -> list[tuple[int, ...]]:
+    """The sorted neighbours of each vertex, as tuples read off the CSR rows."""
+    bounds, nbrs = g.indptr.tolist(), g.nbrs.tolist()
+    return [tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -76,7 +82,7 @@ def with_twins(g: Graph, copies: int, rng: random.Random) -> Graph:
     random vertex (and, at random, adjacent to it: a closed twin), with the
     vertex indices shuffled."""
     n = g.n + copies
-    adj = [set(a) for a in g.adj] + [set() for _ in range(copies)]
+    adj = [set(a) for a in adjacency(g)] + [set() for _ in range(copies)]
     for w in range(g.n, n):
         u = rng.randrange(w)
         adj[w] = set(adj[u])
@@ -226,6 +232,53 @@ def reference_biregular_pair(g: Graph, color: list[int], comp: list[int]):
     return pinned
 
 
+def reference_two_color(g: Graph):
+    """A BFS 2-colouring that tests each edge as it walks the tuple rows,
+    kept as an oracle for ``graphs._two_color``: (colour, component id)
+    lists, or None at the first edge inside one colour.  Roots are taken in
+    index order and coloured 0."""
+    adj = adjacency(g)
+    color = [-1] * g.n
+    comp = [-1] * g.n
+    ncomp = 0
+    for root in range(g.n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        comp[root] = ncomp
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    comp[v] = ncomp
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+        ncomp += 1
+    return color, comp
+
+
+def reference_components(g: Graph) -> list[list[int]]:
+    """Union-find over the edges, kept as an oracle for
+    ``connected_components``: the vertex lists ordered by lowest member."""
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        ru, rv = find(u), find(v)
+        parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
 def reference_validate_2odd_biregular(g: Graph):
     """``validate_2odd_biregular`` with the class test made edge by edge,
     kept as an oracle: the same result, or the same ``NotApplicable``."""
@@ -302,7 +355,8 @@ def reference_propagate(g: Graph, mode: str, partial, waived=frozenset()) -> tup
     conflict; T = {+m} or {-m} with m > 0 fixes every unassigned member.
     """
     label = list(partial)
-    scopes = [g.adj[v] if mode == "open" else g.adj[v] + (v,) for v in range(g.n)]
+    adj = adjacency(g)
+    scopes = [adj[v] if mode == "open" else adj[v] + (v,) for v in range(g.n)]
     changed = True
     while changed:
         changed = False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cycle, erdos_renyi, path
+from helpers import adjacency, cycle, erdos_renyi, path
 from lb2p import TwoPartition, balance_report, brute_force, check, phi_star
 from lb2p.balance import parse_partition
 
@@ -102,10 +102,11 @@ def test_degree_two_neighbors_differ_when_open_valid():
     rng = random.Random(3)
     for _ in range(30):
         g = erdos_renyi(rng.randint(2, 7), 0.5, rng)
+        adj = adjacency(g)
         for p in _valid_partitions(g, "open"):
             for v in range(g.n):
                 if g.degree(v) == 2:
-                    u1, u2 = g.adj[v]
+                    u1, u2 = adj[v]
                     assert p.labels[u1] != p.labels[u2]
 
 
@@ -113,10 +114,11 @@ def test_leaf_differs_from_support_when_closed_valid():
     rng = random.Random(4)
     for _ in range(30):
         g = erdos_renyi(rng.randint(2, 7), 0.4, rng)
+        adj = adjacency(g)
         for p in _valid_partitions(g, "closed"):
             for v in range(g.n):
                 if g.degree(v) == 1:
-                    assert p.labels[v] != p.labels[g.adj[v][0]]
+                    assert p.labels[v] != p.labels[adj[v][0]]
 
 
 def test_parity_corollary_zero_balances():

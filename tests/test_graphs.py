@@ -14,8 +14,11 @@ from helpers import (
     erdos_renyi,
     path,
     random_biregular,
+    random_nae_instance,
     reference_biregular_pair,
+    reference_components,
     reference_parse_graph,
+    reference_two_color,
 )
 from lb2p import (
     Graph,
@@ -35,7 +38,9 @@ from lb2p.graphs import (
     _biregular_pair,
     _tokens,
     _two_color,
+    connected_components,
 )
+from lb2p.reductions import REDUCTIONS, reduce_by_name
 
 
 def test_parse_k2():
@@ -202,8 +207,10 @@ def test_from_edges_reports_first_bad_edge():
         Graph.from_edges(MAX_VERTICES + 1, [])
     with pytest.raises(ValueError, match="pair"):
         Graph.from_edges(3, [(0, 1, 2)])
-    assert Graph.from_edges(0, []).adj == ()
-    assert Graph.from_edges(3, iter([(2, 0), (1, 0)])).adj == ((1, 2), (0,), (0,))
+    empty = Graph.from_edges(0, [])
+    assert empty.indptr.tolist() == [0] and empty.nbrs.tolist() == []
+    g = Graph.from_edges(3, iter([(2, 0), (1, 0)]))
+    assert g.indptr.tolist() == [0, 2, 3, 4] and g.nbrs.tolist() == [1, 2, 0, 0]
 
 
 @st.composite
@@ -236,11 +243,12 @@ def test_csr_views_match_python_adjacency(case):
     with pytest.raises(IndexError):
         g.degree(n)
     assert g.edges() == sorted((min(u, v), max(u, v)) for u, v in edges)
-    assert all(g.has_edge(u, v) == (v in adj[u]) for u in range(n) for v in range(n))
+    assert all(g.has_edge(u, v) == (v % n in adj[u]) for u in range(-n, n) for v in range(-n, n))
+    for u, v in ((n, 0), (0, n), (-n - 1, 0)):
+        with pytest.raises(IndexError):
+            g.has_edge(u, v)
     assert g.indptr.tolist() == [sum(len(a) for a in adj[:v]) for v in range(n + 1)]
-    assert "adj" not in vars(g)  # none of the above builds the tuple view
-    assert g.adj == tuple(tuple(sorted(a)) for a in adj)
-    assert "adj" in vars(g) and g.adj is g.adj
+    assert [g.nbrs[g.indptr[v] : g.indptr[v + 1]].tolist() for v in range(n)] == [sorted(a) for a in adj]
 
 
 def test_graph_equality_and_hash():
@@ -248,7 +256,6 @@ def test_graph_equality_and_hash():
     b = parse_graph("4 2\n3 2\n1 0\n")
     c = Graph(4, np.array([0, 1, 2, 3, 4]), np.array([1, 0, 3, 2]))
     assert a == b == c and hash(a) == hash(b) == hash(c) and len({a, b, c}) == 1
-    b.adj  # the cached view takes no part in equality
     assert a == b and hash(a) == hash(b)
     assert a != Graph.from_edges(5, [(0, 1), (2, 3)])
     assert a != Graph.from_edges(4, [(0, 1), (1, 2)])
@@ -372,6 +379,45 @@ def test_biregular_pair_matches_per_vertex_loop():
         pairs += expected is not None
         nones += expected is None
     assert pairs >= 150 and nones >= 150
+
+
+def _traversal_graphs(rng: random.Random):
+    """Seeded graphs for the traversal references: n = 0, isolated vertices,
+    shuffled long paths and cycles (odd and even), shuffled disjoint unions
+    with odd cycles, the bipartite unions above, and each reduction of one
+    48-variable formula."""
+    yield Graph.from_edges(0, [])
+    yield Graph.from_edges(7, [])
+    for n in (2, 999, 5000):
+        yield disjoint_union([path(n)], rng)
+        yield disjoint_union([cycle(n + 1)], rng)
+    parts = (
+        lambda: cycle(2 * rng.randint(1, 4) + 1),
+        lambda: path(rng.randint(1, 6)),
+        lambda: erdos_renyi(rng.randint(1, 8), 0.4, rng),
+    )
+    for _ in range(200):
+        yield disjoint_union([rng.choice(parts)() for _ in range(rng.randint(1, 4))], rng)
+    for _, g in zip(range(200), _bipartite_unions(rng)):
+        yield g
+    inst = random_nae_instance(48, rng)
+    for name in REDUCTIONS:
+        yield reduce_by_name(name, inst).graph
+
+
+def test_one_bfs_matches_reference_two_color_and_union_find():
+    colourings = nones = 0
+    for g in _traversal_graphs(random.Random(1818)):
+        expected = reference_two_color(g)
+        colored = _two_color(g)
+        if expected is None:
+            assert colored is None
+        else:
+            assert [a.tolist() for a in colored] == list(expected)
+        assert connected_components(g) == reference_components(g)
+        colourings += expected is not None
+        nones += expected is None
+    assert colourings >= 200 and nones >= 100
 
 
 def test_classify_nonbipartite_has_no_biregular():

@@ -3,9 +3,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CANONICAL_N3,
+    adjacency,
     cycle,
     disjoint_union,
     erdos_renyi,
@@ -59,6 +62,20 @@ def test_propagate_conflict_reports_vertex():
     # their common neighbors (1 and 3) are unsatisfiable
     result = propagate(cs, [0, None, 0, None])
     assert result.conflict in (1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
+def test_scopes_are_the_open_and_closed_neighbourhoods(n, pairs):
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n}
+    nbhd: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbhd[u].add(v)
+        nbhd[v].add(u)
+    g = Graph.from_edges(n, edges)
+    assert ConstraintSystem.from_graph(g, "open").scopes == tuple(tuple(sorted(a)) for a in nbhd)
+    closed = tuple(tuple(sorted(a | {v})) for v, a in enumerate(nbhd))
+    assert ConstraintSystem.from_graph(g, "closed").scopes == closed
 
 
 def test_propagate_matches_reference_tset_rule():
@@ -294,7 +311,8 @@ def test_twin_order_and_probing_keep_first_witness():
             assert out.status == ("sat" if sols else "unsat")
             assert out == decide(g, mode, waived=waived, fixed=fixed)
             # the active scopes containing u are those of u's (closed) neighbours
-            nbhd = g.adj if mode == "open" else [a + (u,) for u, a in enumerate(g.adj)]
+            adj = adjacency(g)
+            nbhd = adj if mode == "open" else [a + (u,) for u, a in enumerate(adj)]
             owner_sets = [
                 frozenset(v for v in nbhd[u] if v not in waived) for u in range(g.n) if u not in fixed
             ]
