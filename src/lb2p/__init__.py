@@ -46,7 +46,6 @@ from .graphs import (
     bfs_distances,
     bipartition,
     classify,
-    embed_gadget,
     parse_graph,
     serialize_graph,
 )

@@ -34,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .balance import TwoPartition, check
-from .graphs import Bipartition, Graph, MultiGraph
+from .graphs import Graph, MultiGraph
 # Not called here: perfbench/tracer.py wraps these two by their names in this module.
 from .graphs import bfs_distances, connected_components  # noqa: F401
 
@@ -98,15 +98,13 @@ class NotApplicable:
     reason: str
 
 
-def validate_2odd_biregular(
-    g: Graph,
-) -> Union[tuple[Bipartition, int], NotApplicable]:
-    """Check membership in the class; side_x is the degree-2 side.
+def validate_2odd_biregular(g: Graph) -> Union[int, NotApplicable]:
+    """k if g is in the class, else why not.
 
     Succeeds iff every vertex has degree 2 or a common odd degree 2k+1
-    (k >= 1) and every edge joins the two degree classes.  The test is one
-    numpy pass over the degrees; the bipartition's two sets are built only
-    when they are read.
+    (k >= 1) and every edge joins the two degree classes, which are then
+    the two sides: the degree-2 side and the high side.  The test is one
+    numpy pass over the degrees.
     """
     if g.n == 0:
         return NotApplicable("empty graph")
@@ -133,22 +131,25 @@ def validate_2odd_biregular(
         side = high_side.tolist()
         u, v = next((u, v) for u, v in g.edges() if side[u] == side[v])
         return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
-    return Bipartition.of_sides(high_side), (b - 1) // 2
+    return (b - 1) // 2
 
 
-def build_reduced(g: Graph, bip: Bipartition, k: int) -> ReducedMultigraph:
-    """Contract each degree-2 vertex into an edge between its two neighbors."""
-    ys = sorted(bip.side_y)
-    provenance = tuple(sorted(bip.side_x))
+def build_reduced(g: Graph, k: int) -> ReducedMultigraph:
+    """Contract each degree-2 vertex into an edge between its two neighbors,
+    in a graph that ``validate_2odd_biregular`` accepts with this k: its
+    sides are its degree classes, each taken in ascending order."""
+    high_side = np.diff(g.indptr) != 2
+    ys = np.flatnonzero(high_side)
+    provenance = np.flatnonzero(~high_side)
     local = np.zeros(g.n, dtype=np.int64)
     local[ys] = np.arange(len(ys))
-    first = g.indptr[list(provenance)]
+    first = g.indptr[provenance]
     ends = local[g.nbrs[np.stack((first, first + 1), axis=1)]].tolist()
     mg = MultiGraph(len(ys), tuple(map(tuple, ends)))
     r = 2 * k + 1
     if any(d != r for d in mg.degrees()):
         raise AssertionError("reduced multigraph is not regular")
-    return ReducedMultigraph(mg, tuple(ys), provenance, k)
+    return ReducedMultigraph(mg, tuple(ys.tolist()), tuple(provenance.tolist()), k)
 
 
 def kk1_factor(m: MultiGraph, k: int) -> FactorResult:
@@ -415,8 +416,7 @@ def solve_biregular(g: Graph) -> Union[Witness, Certificate, NotApplicable]:
     # Each component's root is its smallest high-side vertex; a high-side
     # vertex at distance 0 (mod 4) from it gets label 1, every other 0.
     # Degree-2 vertices have odd depth and get 1 exactly on factor edges.
-    bip, k = va
-    red = build_reduced(g, bip, k)
+    red = build_reduced(g, va)
     factor = kk1_factor(red.graph, red.k)
     labels = [1 if d % 4 == 0 else 0 for d in depth]
     for e in factor.edges:

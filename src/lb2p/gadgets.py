@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .balance import TwoPartition, balance_report, check
-from .graphs import Graph, embed_gadget
+from .graphs import Graph
 from .solver import decide, enumerate_partitions
 
 __all__ = [
@@ -206,10 +206,12 @@ def verify_gadget(gadget: Gadget) -> GadgetReport:
 def f4_harness() -> tuple[Graph, dict[str, list[int]]]:
     """A clause surroundings for the triangle widget: three stand-in variable
     vertices, one clause vertex adjacent to all three, and the widget with
-    each input attached to one stand-in."""
-    host = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    each input attached to one stand-in.  Widget vertex i is vertex 4 + i."""
     widget = gadget_f4()
-    harness, offset = embed_gadget(host, widget.graph, widget.inputs, [(0, 0), (3, 1), (6, 2)])
+    offset = 4
+    edges = [(0, 3), (1, 3), (2, 3)]
+    edges += [(u + offset, v + offset) for u, v in widget.graph.edges()]
+    edges += [(p, offset + y) for p, y in enumerate(widget.inputs)]
     layout = {
         "p": [0, 1, 2],
         "q": [3],
@@ -217,7 +219,7 @@ def f4_harness() -> tuple[Graph, dict[str, list[int]]]:
         "z": [offset + 1, offset + 4, offset + 7],
         "b": [offset + 2, offset + 5, offset + 8],
     }
-    return harness, layout
+    return Graph.from_edges(offset + widget.graph.n, edges), layout
 
 
 def verify_f4_harness() -> GadgetReport:
@@ -272,14 +274,18 @@ def verify_contract(gadget: Gadget) -> GadgetReport:
     return report
 
 
-_VERIFIED: dict[str, GadgetReport] = {}
+_VERIFIED: dict[tuple, GadgetReport] = {}
 
 
 def ensure_verified(gadget: Gadget) -> GadgetReport:
-    """Verify once per process; raise if the contract fails."""
-    report = _VERIFIED.get(gadget.name)
+    """Verify once per process; raise if the contract fails.  Reports are
+    cached by what the check reads (name, mode, graph, inputs and both
+    completion labelings), so a changed gadget is verified afresh."""
+    labelings = None if gadget.completion is None else tuple(tuple(gadget.completion(b)) for b in (0, 1))
+    key = (gadget.name, gadget.mode, gadget.graph, tuple(gadget.inputs), labelings)
+    report = _VERIFIED.get(key)
     if report is None:
-        report = _VERIFIED[gadget.name] = verify_contract(gadget)
+        report = _VERIFIED[key] = verify_contract(gadget)
     if not report.passed:
         raise GadgetContractError(f"gadget {gadget.name!r} failed verification: {report.failure}")
     return report

@@ -1,4 +1,4 @@
-"""Graph and multigraph primitives: parsing, class predicates, traversal, embedding.
+"""Graph and multigraph primitives: parsing, class predicates, traversal.
 
 Vertices are dense 0-based indices.  ``Graph`` is simple and undirected, in
 compressed sparse rows: numpy ``indptr`` (n + 1) and ``nbrs``, each vertex's
@@ -29,15 +29,12 @@ __all__ = [
     "Bipartition",
     "ClassReport",
     "GraphFormatError",
-    "NonInputAttachmentError",
-    "DuplicateAttachmentError",
     "parse_graph",
     "serialize_graph",
     "bipartition",
     "classify",
     "bfs_distances",
     "connected_components",
-    "embed_gadget",
 ]
 
 
@@ -52,14 +49,6 @@ class GraphFormatError(ValueError):
         self.kind = kind
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-class NonInputAttachmentError(ValueError):
-    """An attachment names a gadget vertex that is not a declared input."""
-
-
-class DuplicateAttachmentError(ValueError):
-    """An attachment edge is repeated."""
 
 
 # Vertex counts up to this keep the edge keys u*n+v below 2**63.
@@ -216,25 +205,11 @@ class MultiGraph:
 @dataclass(frozen=True)
 class Bipartition:
     """Two disjoint vertex sets covering V; every edge joins side_x to side_y.
-
-    ``Bipartition.of_sides(side)`` takes each vertex's side as an array, 0
-    for side_x and 1 for side_y, and builds the two sets on their first read.
-    """
+    Built by ``bipartition``; the (2,2k+1) solver reads its sides from the
+    degree classes instead."""
 
     side_x: frozenset[int]
     side_y: frozenset[int]
-
-    @classmethod
-    def of_sides(cls, side: np.ndarray) -> "Bipartition":
-        bip = object.__new__(cls)
-        bip.__dict__["_side"] = side
-        return bip
-
-    def __getattr__(self, name: str) -> frozenset[int]:  # reached only for a set not built yet
-        if name not in ("side_x", "side_y") or "_side" not in self.__dict__:
-            raise AttributeError(name)
-        self.__dict__[name] = frozenset(np.flatnonzero(self._side == (name == "side_y")).tolist())
-        return self.__dict__[name]
 
 
 @dataclass(frozen=True)
@@ -453,7 +428,8 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
     colored = _two_color(g)
     if colored is None:
         return None
-    return Bipartition.of_sides(colored[0])
+    side_x, side_y = (frozenset(np.flatnonzero(colored[0] == c).tolist()) for c in (0, 1))
+    return Bipartition(side_x, side_y)
 
 
 def _biregular_pair(degs: np.ndarray, color: np.ndarray, comp: np.ndarray) -> Optional[tuple[int, int]]:
@@ -506,40 +482,3 @@ def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists per component, ordered by lowest member."""
     dist: list[Optional[int]] = [None] * g.n
     return [sorted(queue) for queue in _reach(g, range(g.n), dist)]
-
-
-def embed_gadget(
-    host: Graph,
-    gadget: Graph,
-    inputs: Sequence[int],
-    attachments: Sequence[tuple[int, int]],
-) -> tuple[Graph, int]:
-    """Disjoint union of host and gadget plus the attachment edges.
-
-    ``attachments`` are pairs (gadget input vertex, host vertex); only
-    declared inputs may be attached.  Gadget vertex i becomes offset+i in
-    the result, where offset = host.n (returned for role bookkeeping).
-    """
-    input_set = set(inputs)
-    if len(input_set) != len(inputs):
-        raise ValueError("duplicate vertices in input list")
-    for w in inputs:
-        if not (0 <= w < gadget.n):
-            raise ValueError(f"input vertex {w} out of range")
-    offset = host.n
-    edges = host.edges()
-    edges.extend((u + offset, v + offset) for u, v in gadget.edges())
-    seen: set[tuple[int, int]] = set()
-    for gv, hv in attachments:
-        if gv not in input_set:
-            raise NonInputAttachmentError(
-                f"gadget vertex {gv} is not a declared input"
-            )
-        if not (0 <= hv < host.n):
-            raise ValueError(f"host vertex {hv} out of range")
-        key = (hv, gv + offset)
-        if key in seen:
-            raise DuplicateAttachmentError(f"attachment ({gv},{hv}) repeated")
-        seen.add(key)
-        edges.append(key)
-    return Graph.from_edges(host.n + gadget.n, edges), offset

@@ -79,7 +79,11 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Per-vertex balance scopes; waived vertices' own scopes are inactive."""
+    """Per-vertex balance scopes; waived vertices' own scopes are inactive.
+
+    ``scopes[v]`` is v's open or closed neighbourhood, sorted.  Membership
+    is symmetric (u in scopes[v] iff v in scopes[u]), so the scopes that
+    contain u are those of the members of scopes[u]."""
 
     n: int
     mode: str
@@ -142,12 +146,9 @@ class _Search:
         n = cs.n
         self.n = n
         self.scopes = cs.scopes
-        owners: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v not in cs.waived:
-                for u in cs.scopes[v]:
-                    owners[u].append(v)
-        self.owners = tuple(tuple(o) for o in owners)
+        # Scopes are symmetric: those containing u are scopes[u]'s unwaived members.
+        wv = cs.waived
+        self.owners = tuple(tuple(v for v in s if v not in wv) for s in cs.scopes) if wv else cs.scopes
         self.cap = [(len(s) + 1) // 2 for s in cs.scopes]
         self.count = ([0] * n, [0] * n)  # per label, assigned members of each scope
         self.label = [-1] * n

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 import lb2p
-from lb2p import Bipartition, Graph, GraphFormatError, MultiGraph, NotApplicable, TwoPartition
+from lb2p import Graph, GraphFormatError, MultiGraph, NotApplicable, TwoPartition
 from lb2p.biregular import (
     Certificate,
+    ReducedMultigraph,
     Witness,
     _check_certificate,
     build_reduced,
@@ -299,7 +300,36 @@ def reference_validate_2odd_biregular(g: Graph):
     for u, v in g.edges():
         if (u in xs) == (v in xs):
             return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
-    return Bipartition(xs, frozenset(range(g.n)) - xs), (b - 1) // 2
+    return (b - 1) // 2
+
+
+def reference_build_reduced(g: Graph, k: int) -> ReducedMultigraph:
+    """The contraction of ``build_reduced`` made vertex by vertex over the
+    tuple rows of ``adjacency(g)``, kept as its oracle: every vertex of
+    degree 2, in index order, becomes one edge between its two neighbours,
+    numbered by their rank on the high side."""
+    adj = adjacency(g)
+    ys = [v for v in range(g.n) if len(adj[v]) != 2]
+    local = {y: i for i, y in enumerate(ys)}
+    xs, ends = [], []
+    for x in range(g.n):
+        if len(adj[x]) == 2:
+            u, w = adj[x]
+            xs.append(x)
+            ends.append((local[u], local[w]))
+    return ReducedMultigraph(MultiGraph(len(ys), tuple(ends)), tuple(ys), tuple(xs), k)
+
+
+def reference_owners(cs) -> tuple[tuple[int, ...], ...]:
+    """For each vertex u, the unwaived vertices v (ascending) whose scope
+    holds u: the transpose of ``cs.scopes``, kept as the oracle of
+    ``_Search.owners``."""
+    owners: list[list[int]] = [[] for _ in range(cs.n)]
+    for v in range(cs.n):
+        if v not in cs.waived:
+            for u in cs.scopes[v]:
+                owners[u].append(v)
+    return tuple(tuple(o) for o in owners)
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:
@@ -453,8 +483,7 @@ def reference_solve_biregular(g: Graph):
     odd cycle; otherwise colour each component by distance (mod 4) from its
     smallest high-side vertex.  For validated graphs only; returns
     (result, has_bad_cycle)."""
-    bip, k = validate_2odd_biregular(g)
-    red = build_reduced(g, bip, k)
+    red = build_reduced(g, validate_2odd_biregular(g))
     odd = _multigraph_odd_cycle(red.graph)
     if odd is not None:
         cycle = extract_cycle_2mod4(_lift_walk(red, *odd))
@@ -464,7 +493,7 @@ def reference_solve_biregular(g: Graph):
     for eid, x in enumerate(red.x_of_edge):
         labels[x] = 1 if eid in factor.edges else 0
     for comp in connected_components(g):
-        comp_ys = [v for v in comp if v in bip.side_y]
+        comp_ys = [v for v in comp if g.degree(v) != 2]
         dist = bfs_distances(g, comp_ys[0])
         for y in comp_ys:
             labels[y] = 1 if dist[y] % 4 == 0 else 0

@@ -15,6 +15,7 @@ from helpers import (
     disjoint_union,
     random_biregular,
     random_regular_multigraph,
+    reference_build_reduced,
     reference_solve_biregular,
     reference_validate_2odd_biregular,
     run_optimized,
@@ -40,10 +41,12 @@ from lb2p.biregular import extract_cycle_2mod4
 
 
 def test_validate_k23():
-    bip, k = validate_2odd_biregular(complete_bipartite(2, 3))
+    g = complete_bipartite(2, 3)
+    k = validate_2odd_biregular(g)
     assert k == 1
-    assert bip.side_x == frozenset({2, 3, 4})  # the degree-2 side
-    assert bip.side_y == frozenset({0, 1})
+    red = build_reduced(g, k)
+    assert red.x_of_edge == (2, 3, 4)  # the degree-2 side
+    assert red.y_vertices == (0, 1)
 
 
 def test_validate_c6_not_applicable():
@@ -53,10 +56,11 @@ def test_validate_c6_not_applicable():
 
 def test_validate_subdivided_k4():
     g = subdivide(complete(4))
-    bip, k = validate_2odd_biregular(g)
+    k = validate_2odd_biregular(g)
     assert k == 1
-    assert bip.side_x == frozenset(range(4, 10))
-    assert len(bip.side_y) == 4
+    red = build_reduced(g, k)
+    assert red.x_of_edge == tuple(range(4, 10))
+    assert len(red.y_vertices) == 4
 
 
 def test_validate_rejects_even_high_degree():
@@ -86,8 +90,7 @@ def test_validate_rejects_edges_inside_a_class(edges):
 
 def test_build_reduced_k23():
     g = complete_bipartite(2, 3)
-    bip, k = validate_2odd_biregular(g)
-    red = build_reduced(g, bip, k)
+    red = build_reduced(g, validate_2odd_biregular(g))
     assert red.graph.n == 2
     assert red.graph.edges == ((0, 1), (0, 1), (0, 1))
     assert red.x_of_edge == (2, 3, 4)
@@ -95,8 +98,7 @@ def test_build_reduced_k23():
 
 def test_build_reduced_subdivided_k4_is_k4():
     g = subdivide(complete(4))
-    bip, k = validate_2odd_biregular(g)
-    red = build_reduced(g, bip, k)
+    red = build_reduced(g, validate_2odd_biregular(g))
     assert red.graph.n == 4
     assert sorted(tuple(sorted(e)) for e in red.graph.edges) == list(
         combinations(range(4), 2)
@@ -105,9 +107,9 @@ def test_build_reduced_subdivided_k4_is_k4():
 
 def test_build_reduced_k25_theta():
     g = complete_bipartite(2, 5)
-    bip, k = validate_2odd_biregular(g)
+    k = validate_2odd_biregular(g)
     assert k == 2
-    red = build_reduced(g, bip, k)
+    red = build_reduced(g, k)
     assert red.graph.n == 2 and len(red.graph.edges) == 5
     assert all(tuple(sorted(e)) == (0, 1) for e in red.graph.edges)
 
@@ -222,7 +224,7 @@ def test_solve_k23_witness_matches_example():
     assert not check(complete_bipartite(2, 3), res.partition, "open")
 
 
-def test_certificate_path_never_builds_the_tuple_adjacency():
+def test_certificate_path_and_class_test_verdicts():
     rng = random.Random(29)
     g = random_biregular(200, 9, rng)
     assert isinstance(solve_biregular(g), Certificate)
@@ -276,10 +278,10 @@ def test_factor_arithmetic_on_witnesses():
         res = solve_biregular(g)
         if not isinstance(res, Witness):
             continue
-        bip, k = validate_2odd_biregular(g)
+        k = validate_2odd_biregular(g)
         rep = balance_report(g, res.partition)
         adj = adjacency(g)
-        for y in bip.side_y:
+        for y in (v for v in range(g.n) if len(adj[v]) != 2):  # the high side
             ones = sum(res.partition.labels[x] for x in adj[y])
             assert rep.open_balance[y] == 2 * ones - (2 * k + 1)
             assert rep.open_balance[y] in (-1, 1)
@@ -312,8 +314,7 @@ def test_extract_cycle_figure_eight():
 def test_even_multigraph_cycle_lifts_to_0_mod_4():
     # a pair of parallel reduced edges (an even 2-cycle) lifts to a 4-cycle
     g = complete_bipartite(2, 3)
-    bip, k = validate_2odd_biregular(g)
-    red = build_reduced(g, bip, k)
+    red = build_reduced(g, validate_2odd_biregular(g))
     x0, x1 = red.x_of_edge[0], red.x_of_edge[1]
     y0, y1 = red.y_vertices
     lifted = [y0, x0, y1, x1]
@@ -332,8 +333,7 @@ def test_cycle_length_is_twice_high_side_count():
         res = solve_biregular(g)
         if isinstance(res, Certificate):
             seen += 1
-            bip, _ = validate_2odd_biregular(g)
-            ys = [v for v in res.cycle.vertices if v in bip.side_y]
+            ys = [v for v in res.cycle.vertices if g.degree(v) != 2]
             assert len(res.cycle.vertices) == 2 * len(ys)
             assert len(ys) % 2 == 1
     assert seen > 0
@@ -370,6 +370,26 @@ def test_search_matches_contraction_route():
         pairs = [a for a in adjacency(g) if len(a) == 2]
         seen["parallel"] += len(set(pairs)) < len(pairs)
     assert min(seen.values()) >= 300, seen
+
+
+def test_build_reduced_matches_vertex_by_vertex_reference():
+    """The numpy contraction equals one built from the tuple rows, vertex
+    by vertex, on the witness graphs above: the same high-side order, the
+    same provenance of each edge and the same edge ends."""
+    seen = {"witness": 0, "parallel": 0}
+    for g, _ in _interleaved_graphs(random.Random(4099), 1000):
+        if has_bad_cycle(g):
+            continue
+        k = validate_2odd_biregular(g)
+        red = build_reduced(g, k)
+        expected = reference_build_reduced(g, k)
+        assert red.y_vertices == expected.y_vertices
+        assert red.x_of_edge == expected.x_of_edge
+        assert red.graph.edges == expected.graph.edges
+        assert red == expected
+        seen["witness"] += 1
+        seen["parallel"] += len(set(red.graph.edges)) < len(red.graph.edges)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_validate_matches_edge_by_edge_reference():

@@ -96,7 +96,7 @@ def test_solve_stats_line_leaves_stdout_unchanged(files, capsys, name, extra):
         assert stats["conflicts"] == 1
 
 
-def test_check_never_builds_the_tuple_adjacency(files, capsys, monkeypatch):
+def test_check_loads_a_large_cycle_once(files, capsys, monkeypatch):
     loaded = []
     monkeypatch.setattr(cli, "parse_graph", lambda text: loaded.append(parse_graph(text)) or loaded[-1])
     big = files["tmp"] / "c10000.graph"

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -185,3 +186,15 @@ def test_ensure_verified_caches_pass():
     rep1 = ensure_verified(gadget_forcing())
     rep2 = ensure_verified(gadget_forcing())
     assert rep1 is rep2 and rep1.passed
+
+
+def test_ensure_verified_caches_by_content_not_name():
+    f1 = gadget_f1()
+    assert ensure_verified(f1).passed
+    path16 = Graph.from_edges(16, [(i, i + 1) for i in range(15)])
+    broken = Gadget("f1", "open", path16, (0, 4, 8, 12), f1.completion)
+    failure = "completion(0) has nonzero internal balance at [15]"
+    assert verify_gadget(broken).failure == failure
+    with pytest.raises(GadgetContractError, match=re.escape(failure)):
+        ensure_verified(broken)
+    assert ensure_verified(gadget_f1()).passed

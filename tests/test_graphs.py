@@ -26,15 +26,11 @@ from lb2p import (
     bfs_distances,
     bipartition,
     classify,
-    embed_gadget,
     parse_graph,
     serialize_graph,
 )
-from lb2p.gadgets import gadget_f2
 from lb2p.graphs import (
     MAX_VERTICES,
-    DuplicateAttachmentError,
-    NonInputAttachmentError,
     _biregular_pair,
     _tokens,
     _two_color,
@@ -450,32 +446,3 @@ def test_bfs_triangle_property(seed):
         else:
             assert d[u] is None and d[v] is None
 
-
-def test_embed_f2_on_isolated_vertex_gives_tree():
-    host = Graph.from_edges(1, [])
-    f2 = gadget_f2()
-    g, offset = embed_gadget(host, f2.graph, f2.inputs, [(0, 0)])
-    assert offset == 1
-    assert g.n == 7 and g.m == 6
-    assert all(d is not None for d in bfs_distances(g, 0))  # connected, n-1 edges: tree
-
-
-def test_embed_empty_attachments_is_disjoint_union():
-    host = cycle(4)
-    f2 = gadget_f2()
-    g, offset = embed_gadget(host, f2.graph, f2.inputs, [])
-    assert g.n == 10 and g.m == 4 + 5 and offset == 4
-
-
-def test_embed_non_input_attachment_rejected():
-    host = Graph.from_edges(1, [])
-    f2 = gadget_f2()
-    with pytest.raises(NonInputAttachmentError):
-        embed_gadget(host, f2.graph, f2.inputs, [(2, 0)])
-
-
-def test_embed_duplicate_attachment_rejected():
-    host = Graph.from_edges(1, [])
-    f2 = gadget_f2()
-    with pytest.raises(DuplicateAttachmentError):
-        embed_gadget(host, f2.graph, f2.inputs, [(0, 0), (0, 0)])

@@ -14,6 +14,7 @@ from helpers import (
     erdos_renyi,
     path,
     random_nae_instance,
+    reference_owners,
     reference_propagate,
     run_optimized,
     with_twins,
@@ -32,6 +33,7 @@ from lb2p import (
 from lb2p.gadgets import gadget_f2
 from lb2p.nae import parse_nae
 from lb2p.reductions import partition_to_assignment, reduce_by_name, reduce_open_biregular
+from lb2p.solver import _Search
 
 
 def test_propagate_open_path_forces_far_end():
@@ -76,6 +78,21 @@ def test_scopes_are_the_open_and_closed_neighbourhoods(n, pairs):
     assert ConstraintSystem.from_graph(g, "open").scopes == tuple(tuple(sorted(a)) for a in nbhd)
     closed = tuple(tuple(sorted(a | {v})) for v, a in enumerate(nbhd))
     assert ConstraintSystem.from_graph(g, "closed").scopes == closed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+    st.sets(st.integers(0, 11)),
+)
+def test_owners_are_the_transpose_of_the_scopes(n, pairs, waived):
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n}
+    g = Graph.from_edges(n, edges)
+    for wv in (frozenset(), frozenset(v for v in waived if v < n)):
+        for mode in ("open", "closed"):
+            cs = ConstraintSystem.from_graph(g, mode, wv)
+            assert _Search(cs, 0).owners == reference_owners(cs)
 
 
 def test_propagate_matches_reference_tset_rule():
