@@ -17,7 +17,6 @@ from .balance import (
 from .biregular import (
     Certificate,
     CycleCertificate,
-    FactorResult,
     NotApplicable,
     ReducedMultigraph,
     Witness,

@@ -15,21 +15,23 @@ Both branches start from one breadth-first search over the graph itself
 the graph's CSR arrays ``indptr``/``nbrs``, its only representation.  A
 degree-2 vertex whose two neighbours share a depth closes an odd cycle of
 the contraction; the certificate path stops at the first one and lifts it
-along the parent pointers, without building the contraction.  Otherwise
-the search runs to completion and its depths (mod 4) colour the high side,
-in one pass however many components the graph has.
+along the parent pointers to a simple cycle, without building the
+contraction.  Otherwise the search runs to completion and its depths
+(mod 4) colour the high side, in one pass however many components the
+graph has.
 
 Every step of ``solve_biregular`` is linear in the size of the graph;
 loading the graph (``parse_graph``) adds one O(m log m) numpy sort.  The
-factor (Petersen's Euler-circuit argument, ``kk1_factor``) walks Euler
-circuits of the contraction and keeps alternate edges.  No step recurses.
+[k,k+1]-factor (Petersen's Euler-circuit argument, ``kk1_factor``) walks
+Euler circuits of the contraction and keeps alternate edges.  No step
+recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .graphs import bfs_distances, connected_components  # noqa: F401
 
 __all__ = [
     "ReducedMultigraph",
-    "FactorResult",
     "CycleCertificate",
     "Witness",
     "Certificate",
@@ -65,15 +66,6 @@ class ReducedMultigraph:
     graph: MultiGraph
     y_vertices: tuple[int, ...]
     x_of_edge: tuple[int, ...]
-    k: int
-
-
-@dataclass(frozen=True)
-class FactorResult:
-    """Spanning subgraph (edge-index subset) with all degrees in [k, k+1]."""
-
-    edges: frozenset[int]
-    degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -149,71 +141,58 @@ def build_reduced(g: Graph, k: int) -> ReducedMultigraph:
     r = 2 * k + 1
     if any(d != r for d in mg.degrees()):
         raise AssertionError("reduced multigraph is not regular")
-    return ReducedMultigraph(mg, tuple(ys.tolist()), tuple(provenance.tolist()), k)
+    return ReducedMultigraph(mg, tuple(ys.tolist()), tuple(provenance.tolist()))
 
 
-def kk1_factor(m: MultiGraph, k: int) -> FactorResult:
-    """A spanning subgraph with every degree in [k, k+1] of an r-regular
-    multigraph (1 <= k < r), which always exists.
+def kk1_factor(m: MultiGraph) -> frozenset[int]:
+    """The edge indices of a spanning subgraph of an r-regular multigraph
+    (r >= 2) with every degree in [k, k+1], k = r // 2: the factor that
+    ``solve_biregular`` takes of its (2k+1)-regular contraction.
 
-    For r in {2k, 2k+1}, the only case ``solve_biregular`` needs, every edge
-    is a half edge: a hub is joined to each odd-degree vertex, Euler
-    circuits are walked from the hub and alternate edges are kept
-    (``_round_half_edges``), in time linear in the size of m.  For any other
-    k, k disjoint perfect matchings of the bipartite double cover (vertices
-    v+ and v-; an edge uv becomes u+v- and v+u-) give each vertex 2k edge
-    copies.  Folded back, an edge with both copies matched is kept outright
-    and one with a single copy is a half edge.  A vertex with h half edges
-    then has k - h/2 kept ones and h is even, so the same rounding lands it
-    in [k, k+1].  The matchings come from augmenting paths, in O(k·n·m).
+    Alternate edges of Euler circuits (``_round_half_edges``), in time
+    linear in the size of m; their degrees are checked by a raise.
     """
-    degs = m.degrees()
     if m.n == 0:
-        raise ValueError("empty multigraph is not r-regular with r > k >= 1")
-    r = degs[0]
-    if any(d != r for d in degs):
-        raise ValueError(f"multigraph is not regular (degrees {sorted(set(degs))})")
-    if not 1 <= k < r:
-        raise ValueError(f"need 1 <= k < r, got k={k}, r={r}")
-
-    if r in (2 * k, 2 * k + 1):
-        full: list[int] = []
-        half: Sequence[int] = range(len(m.edges))
-    else:
-        copies = _double_cover_copies(m, k)
-        full = [e for e, c in enumerate(copies) if c == 2]
-        half = [e for e, c in enumerate(copies) if c == 1]
-    picked = frozenset(_round_half_edges(m, full, half))
-    final = MultiGraph(m.n, tuple(m.edges[i] for i in picked)).degrees()
-    if any(not k <= d <= k + 1 for d in final):
-        raise AssertionError(f"factor degrees {sorted(set(final))} leave [{k}, {k + 1}]")
-    return FactorResult(picked, final)
+        raise ValueError("empty multigraph is not r-regular with r >= 2")
+    ends = np.asarray(m.edges, dtype=np.int64).reshape(-1, 2)
+    degs = np.bincount(ends.ravel(), minlength=m.n)
+    r = int(degs[0])
+    if (degs != r).any():
+        raise ValueError(f"multigraph is not regular (degrees {np.unique(degs).tolist()})")
+    if r < 2:
+        raise ValueError(f"need r >= 2, got r={r}")
+    k = r // 2
+    kept = _round_half_edges(m)
+    final = np.bincount(ends[np.asarray(kept, dtype=np.int64)].ravel(), minlength=m.n)
+    if final.min() < k or final.max() > k + 1:
+        raise AssertionError(f"factor degrees {np.unique(final).tolist()} leave [{k}, {k + 1}]")
+    return frozenset(kept)
 
 
-def _round_half_edges(m: MultiGraph, full: Sequence[int], half: Sequence[int]) -> list[int]:
-    """The ``full`` edges plus every other ``half`` edge along Euler circuits.
+def _round_half_edges(m: MultiGraph) -> list[int]:
+    """Every other edge of m along Euler circuits: a vertex of degree d
+    keeps ⌊d/2⌋ or ⌊d/2⌋ + 1 of its edges.
 
-    A hub (vertex m.n) is joined to every vertex of odd half-degree, so all
+    A hub (vertex m.n) is joined to every vertex of odd degree, so all
     degrees become even.  Hierholzer's walk covers each component in one
     circuit; alternate edges are kept.  Each pass through a vertex enters
-    on one colour and leaves on the other, so a vertex of half-degree h
-    that the walk only passes through keeps h/2 half edges, or (h-1)/2 or
-    (h+1)/2 once its hub edge is dropped.  Circuits through the hub start
-    there.  A circuit without the hub keeps the colour of its first edge,
-    so its start vertex keeps h/2 or, on an odd circuit, h/2 + 1.  Linear
-    time and memory.
+    on one colour and leaves on the other, so a vertex of degree d that
+    the walk only passes through keeps d/2 edges, or (d-1)/2 or (d+1)/2
+    once its hub edge is dropped.  Circuits through the hub start there.
+    A circuit without the hub keeps the colour of its first edge, so its
+    start vertex keeps d/2 or, on an odd circuit, d/2 + 1.  Linear time
+    and memory.
     """
-    hub = m.n
-    ends = [m.edges[e] for e in half]
-    half_deg = np.bincount(np.asarray(ends, dtype=np.int64).ravel(), minlength=m.n).tolist()
-    ends += [(hub, v) for v in range(m.n) if half_deg[v] % 2]
+    hub, size = m.n, len(m.edges)
+    ends = list(m.edges)
+    ends += [(hub, v) for v, d in enumerate(m.degrees()) if d % 2]
     incident: list[list[int]] = [[] for _ in range(hub + 1)]
     for i, (u, v) in enumerate(ends):
         incident[u].append(i)
         incident[v].append(i)
     other = [u ^ v for u, v in ends]  # the far end of edge e from v is v ^ other[e]
     used = bytearray(len(ends))
-    kept = list(full)
+    kept = []
     for start in chain((hub,), range(m.n)):
         walk, arrivals = [start], [-1]  # the open walk and the edge into each vertex
         circuit = []  # edges in the order Hierholzer closes them
@@ -231,53 +210,8 @@ def _round_half_edges(m: MultiGraph, full: Sequence[int], half: Sequence[int]) -
                 walk.pop()
                 circuit.append(arrivals.pop())
         circuit.pop()  # the -1 of the start vertex
-        kept.extend(half[e] for e in circuit[::2] if e < len(half))
+        kept.extend(e for e in circuit[::2] if e < size)
     return kept
-
-
-def _double_cover_copies(m: MultiGraph, k: int) -> list[int]:
-    """For each edge, how many of its two copies lie in k disjoint perfect
-    matchings of the bipartite double cover (augmenting paths, iterative).
-
-    Arc 2e joins u+ to v- and arc 2e+1 joins v+ to u-, for edge e = (u, v).
-    The double cover of an r-regular multigraph is r-regular and bipartite,
-    so after any j < r disjoint perfect matchings another one exists.
-    """
-    tail = [x for uv in m.edges for x in uv]  # the + end of each arc
-    head = [x for u, v in m.edges for x in (v, u)]  # the - end
-    out: list[list[int]] = [[] for _ in range(m.n)]
-    for a, x in enumerate(tail):
-        out[x].append(a)
-    used = [False] * len(tail)
-    for _ in range(k):
-        match = [-1] * m.n  # arc matched into each - vertex
-        for root in range(m.n):
-            seen = [False] * m.n
-            stack = [iter(out[root])]
-            path: list[int] = []  # path[i] leaves the vertex of stack[i]
-            while stack:
-                for a in stack[-1]:
-                    w = head[a]
-                    if used[a] or seen[w]:
-                        continue
-                    seen[w] = True
-                    path.append(a)
-                    if match[w] < 0:
-                        for b in path:
-                            match[head[b]] = b
-                        stack = []
-                    else:
-                        stack.append(iter(out[tail[match[w]]]))
-                    break
-                else:
-                    stack.pop()
-                    if path:
-                        path.pop()
-            if not path:
-                raise AssertionError("double cover has no perfect matching")
-        for a in match:
-            used[a] = True
-    return [used[2 * e] + used[2 * e + 1] for e in range(len(m.edges))]
 
 
 def extract_cycle_2mod4(walk: list[int]) -> list[int]:
@@ -369,11 +303,14 @@ def _bfs(g: Graph) -> tuple[list[int], list[int], int]:
 
 
 def _conflict_walk(g: Graph, parent: list[int], x: int) -> list[int]:
-    """The closed walk through the conflict x of ``_bfs``: from
+    """The simple cycle through the conflict x of ``_bfs``: from
     ``parent[x]`` up the tree to the lowest common ancestor, down to x's
-    other neighbour, then through x.  Both ends of x have the same even
-    depth, so the walk climbs an even number h of levels and its length
-    2h + 2 is ≡ 2 (mod 4)."""
+    other neighbour, then through x.  Both ends of x are distinct high-side
+    vertices of the same even depth, so the two tree paths climb the same
+    even number h >= 2 of levels and meet only at their lowest common
+    ancestor, and x lies one level below both paths; the cycle is simple
+    and its length 2h + 2 is ≡ 2 (mod 4).  ``solve_biregular`` still checks
+    it with raises."""
     u = parent[x]
     w, other = g.nbrs[g.indptr[x] : g.indptr[x] + 2].tolist()
     if w == u:
@@ -410,16 +347,14 @@ def solve_biregular(g: Graph) -> Union[Witness, Certificate, NotApplicable]:
         return va
     depth, parent, x = _bfs(g)
     if x >= 0:
-        cycle = extract_cycle_2mod4(_conflict_walk(g, parent, x))
-        return Certificate(_check_certificate(g, cycle))
+        return Certificate(_check_certificate(g, _conflict_walk(g, parent, x)))
 
     # Each component's root is its smallest high-side vertex; a high-side
     # vertex at distance 0 (mod 4) from it gets label 1, every other 0.
     # Degree-2 vertices have odd depth and get 1 exactly on factor edges.
     red = build_reduced(g, va)
-    factor = kk1_factor(red.graph, red.k)
     labels = [1 if d % 4 == 0 else 0 for d in depth]
-    for e in factor.edges:
+    for e in kk1_factor(red.graph):
         labels[red.x_of_edge[e]] = 1
     partition = TwoPartition(tuple(labels))
     violations = check(g, partition, "open")

@@ -124,11 +124,11 @@ def nae_eval(inst: NaeInstance, assignment: Sequence[int]) -> bool:
     return True
 
 
-def brute_sat(inst: NaeInstance, cap: int = BRUTE_SAT_CAP) -> Optional[tuple[int, ...]]:
+def brute_sat(inst: NaeInstance) -> Optional[tuple[int, ...]]:
     """Lexicographically first satisfying assignment, or None."""
     n = inst.n
-    if n > cap:
-        raise ValueError(f"brute search capped at {cap} variables, got {n}")
+    if n > BRUTE_SAT_CAP:
+        raise ValueError(f"brute search capped at {BRUTE_SAT_CAP} variables, got {n}")
     cmasks = [sum(1 << (n - 1 - x) for x in c) for c in inst.clauses]
     for m in range(1 << n):
         if all(0 < (m & cm) < cm for cm in cmasks):

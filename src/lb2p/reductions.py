@@ -438,6 +438,10 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
         raise RoleMapError(f"reduction {name} has mode {REDUCTIONS[name].mode}, not {mode}")
     if (r > 0) != (name == "bireg"):
         raise RoleMapError(f"r={r}: r is at least 1 for bireg and 0 otherwise")
+    # The bireg layout builds a template of 2r roles.  Every bireg artifact
+    # has n + 2rk >= 3 + 8r vertices, so a larger r is refused before that.
+    if r > graph.n:
+        raise RoleMapError(f"r={r} exceeds the graph's {graph.n} vertices")
     order = sum(len(template) * count for template, count in REDUCTIONS[name].layout(n, k, r))
     if order != graph.n:
         raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")

@@ -472,9 +472,7 @@ def enumerate_partitions(
     return out
 
 
-def brute_force(
-    g: Graph, mode: str, cap: int = BRUTE_FORCE_CAP, waived: Iterable[int] = ()
-) -> SolveOutcome:
+def brute_force(g: Graph, mode: str, waived: Iterable[int] = ()) -> SolveOutcome:
     """Oracle: evaluate every labeling directly (vectorized bit enumeration).
 
     Independent of the propagation search; agrees with ``decide`` on
@@ -485,8 +483,8 @@ def brute_force(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     wv = frozenset(waived)
     n = g.n
-    if n > cap:
-        raise ValueError(f"brute force capped at {cap} vertices, got {n}")
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_CAP} vertices, got {n}")
     if n == 0:
         return SolveOutcome("sat", TwoPartition(()), 0, 0)
     a = np.zeros((n, n), dtype=np.float32)

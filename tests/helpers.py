@@ -303,7 +303,7 @@ def reference_validate_2odd_biregular(g: Graph):
     return (b - 1) // 2
 
 
-def reference_build_reduced(g: Graph, k: int) -> ReducedMultigraph:
+def reference_build_reduced(g: Graph) -> ReducedMultigraph:
     """The contraction of ``build_reduced`` made vertex by vertex over the
     tuple rows of ``adjacency(g)``, kept as its oracle: every vertex of
     degree 2, in index order, becomes one edge between its two neighbours,
@@ -317,7 +317,7 @@ def reference_build_reduced(g: Graph, k: int) -> ReducedMultigraph:
             u, w = adj[x]
             xs.append(x)
             ends.append((local[u], local[w]))
-    return ReducedMultigraph(MultiGraph(len(ys), tuple(ends)), tuple(ys), tuple(xs), k)
+    return ReducedMultigraph(MultiGraph(len(ys), tuple(ends)), tuple(ys), tuple(xs))
 
 
 def reference_owners(cs) -> tuple[tuple[int, ...], ...]:
@@ -488,10 +488,10 @@ def reference_solve_biregular(g: Graph):
     if odd is not None:
         cycle = extract_cycle_2mod4(_lift_walk(red, *odd))
         return Certificate(_check_certificate(g, cycle)), True
-    factor = kk1_factor(red.graph, red.k)
+    factor = kk1_factor(red.graph)
     labels = [0] * g.n
     for eid, x in enumerate(red.x_of_edge):
-        labels[x] = 1 if eid in factor.edges else 0
+        labels[x] = 1 if eid in factor else 0
     for comp in connected_components(g):
         comp_ys = [v for v in comp if g.degree(v) != 2]
         dist = bfs_distances(g, comp_ys[0])

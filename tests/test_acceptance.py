@@ -225,10 +225,10 @@ def test_criterion_5_factor_contract():
         if (n * r) % 2:
             continue
         m = random_regular_multigraph(n, r, rng)
-        k = rng.randint(1, r - 1)
-        result = kk1_factor(m, k)
+        k = r // 2
+        result = kk1_factor(m)
         degs = [0] * m.n
-        for i in result.edges:
+        for i in result:
             u, v = m.edges[i]
             degs[u] += 1
             degs[v] += 1

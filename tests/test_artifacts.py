@@ -7,9 +7,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lb2p
 from helpers import CANONICAL_N3, random_nae_instance
@@ -17,6 +20,7 @@ from lb2p import Graph, TwoPartition, check, parse_nae, serialize_graph
 from lb2p.cli import main
 from lb2p.gadgets import gadget_forcing
 from lb2p.reductions import (
+    REDUCTIONS,
     RoleMapError,
     _roles,
     assignment_to_partition,
@@ -160,6 +164,44 @@ def test_tampered_artifact_rejected(subcubic, capsys, kind):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_huge_r_header_rejected_before_any_layout(tmp_path, capsys):
+    """A bireg header's r sizes a template of 2r roles; an r above the
+    graph's vertex count is refused before that template is built."""
+    (tmp_path / "a.graph").write_text("1 0\n")
+    (tmp_path / "a.roles").write_text(f"reduction=bireg mode=open n=0 k=0 r={10**12}\n")
+    (tmp_path / "asg").write_text("\n")
+    (tmp_path / "part").write_text("0\n")
+    start = time.perf_counter()
+    with pytest.raises(RoleMapError, match="exceeds the graph's 1 vertices"):
+        read_artifact(tmp_path / "a")
+    assert time.perf_counter() - start < 1.0
+    base = str(tmp_path / "a")
+    for argv in (["lift", base, str(tmp_path / "asg")], ["extract", base, str(tmp_path / "part")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(ALL_REDUCTIONS),
+    n=st.integers(0, 10**18),
+    k=st.integers(0, 10**18),
+    r=st.integers(0, 10**18),
+)
+def test_any_header_over_a_small_graph_reads_or_raises_quickly(tmp_path, name, n, k, r):
+    base = tmp_path / "art"
+    write_artifact(reduce_by_name("bireg", parse_nae(CANONICAL_N3)), base)
+    Path(f"{base}.roles").write_text(f"reduction={name} mode={REDUCTIONS[name].mode} n={n} k={k} r={r}\n")
+    start = time.perf_counter()
+    try:
+        read_artifact(base)
+    except RoleMapError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 def test_role_map_error_names_first_difference(subcubic):

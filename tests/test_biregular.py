@@ -114,9 +114,9 @@ def test_build_reduced_k25_theta():
     assert all(tuple(sorted(e)) == (0, 1) for e in red.graph.edges)
 
 
-def _factor_ok(m, k, result):
+def _factor_ok(m, k, edges):
     degs = [0] * m.n
-    for i in result.edges:
+    for i in edges:
         u, v = m.edges[i]
         degs[u] += 1
         degs[v] += 1
@@ -125,29 +125,30 @@ def _factor_ok(m, k, result):
 
 def test_kk1_three_parallel_edges():
     m = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
-    res = kk1_factor(m, 1)
+    res = kk1_factor(m)
     assert _factor_ok(m, 1, res)
-    assert len(res.edges) in (1, 2)
+    assert len(res) in (1, 2)
 
 
 def test_kk1_k4_matching_is_valid():
     m = MultiGraph(4, tuple(combinations(range(4), 2)))
-    res = kk1_factor(m, 1)
+    res = kk1_factor(m)
     assert _factor_ok(m, 1, res)
 
 
 def test_kk1_c4_two_regular():
     m = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    res = kk1_factor(m, 1)
+    res = kk1_factor(m)
     assert _factor_ok(m, 1, res)
 
 
 def test_kk1_rejects_bad_inputs():
-    m = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        kk1_factor(m, 3)
-    with pytest.raises(ValueError):
-        kk1_factor(MultiGraph(3, ((0, 1), (1, 2))), 1)
+    with pytest.raises(ValueError, match="empty"):
+        kk1_factor(MultiGraph(0, ()))
+    with pytest.raises(ValueError, match=r"need r >= 2, got r=1"):
+        kk1_factor(MultiGraph(2, ((0, 1),)))
+    with pytest.raises(ValueError, match=r"not regular \(degrees \[1, 2\]\)"):
+        kk1_factor(MultiGraph(3, ((0, 1), (1, 2))))
 
 
 def _exhaustive_factor_exists(m, k):
@@ -172,8 +173,8 @@ def test_kk1_against_subset_oracle_small():
         m = random_regular_multigraph(n, r, rng)
         if len(m.edges) > 14:
             continue
-        k = rng.randint(1, r - 1)
-        res = kk1_factor(m, k)
+        k = r // 2
+        res = kk1_factor(m)
         assert _factor_ok(m, k, res)
         assert _exhaustive_factor_exists(m, k)
 
@@ -185,7 +186,7 @@ def _sample_regular(n, r, rng):
     return cycle_union_multigraph(n, r, rng)
 
 
-def test_kk1_every_k_on_random_regular_multigraphs():
+def test_kk1_on_random_regular_multigraphs():
     rng = random.Random(8128)
     odd_edge_counts = disconnected = 0
     for _ in range(2000):
@@ -201,8 +202,7 @@ def test_kk1_every_k_on_random_regular_multigraphs():
         m = MultiGraph(offset, tuple(edges))
         odd_edge_counts += len(edges) % 2
         disconnected += len(sizes) > 1
-        for k in range(1, r):
-            assert _factor_ok(m, k, kk1_factor(m, k)), (r, k, m)
+        assert _factor_ok(m, r // 2, kk1_factor(m)), (r, m)
     assert odd_edge_counts and disconnected
 
 
@@ -382,7 +382,7 @@ def test_build_reduced_matches_vertex_by_vertex_reference():
             continue
         k = validate_2odd_biregular(g)
         red = build_reduced(g, k)
-        expected = reference_build_reduced(g, k)
+        expected = reference_build_reduced(g)
         assert red.y_vertices == expected.y_vertices
         assert red.x_of_edge == expected.x_of_edge
         assert red.graph.edges == expected.graph.edges
@@ -440,17 +440,18 @@ def test_many_components_witness_is_linear():
     "broken,graph,message",
     [
         (
-            "b.kk1_factor = lambda m, k: b.FactorResult(frozenset(), ())",
+            "b.kk1_factor = lambda m: frozenset()",
             "complete_bipartite(2, 3)",
             "constructed witness failed the checker",
         ),
         (
-            "b._round_half_edges = lambda m, full, half: []",
+            "b._round_half_edges = lambda m: []",
             "complete_bipartite(2, 3)",
             "factor degrees [0] leave [1, 2]",
         ),
         (
-            "b.extract_cycle_2mod4 = lambda walk: walk + walk[:4]",
+            "w = b._conflict_walk\n"
+            "b._conflict_walk = lambda g, parent, x: w(g, parent, x) + w(g, parent, x)[:4]",
             "subdivide(complete(4))",
             "certificate cycle is not simple",
         ),

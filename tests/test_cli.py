@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CANONICAL_N3, complete, complete_bipartite, cycle, random_nae_instance, subdivide
+from helpers import (
+    CANONICAL_N3,
+    bipartite_witness_graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    cycle_union_multigraph,
+    random_nae_instance,
+    subdivide,
+    subdivide_multigraph,
+)
 from lb2p import parse_graph, parse_partition, serialize_graph
 from lb2p import cli
 from lb2p.cli import main
@@ -200,6 +210,33 @@ def test_lift_partition_digest(tmp_path, capsys, target):
     assert main(["lift", str(base), str(tmp_path / "a.txt")]) == 0
     line = capsys.readouterr().out.strip()
     assert hashlib.sha256(line.encode()).hexdigest()[:16] == LIFT_DIGESTS[target]
+
+
+# sha256 prefixes of the whole stdout of `biregular` on seeded (2,b) graphs:
+# a witness graph with 80 high-side vertices, or a subdivided 60-vertex
+# cycle-union multigraph, which has a certificate
+BIREGULAR_DIGESTS = {
+    (3, "witness"): "09f229592c7082c2",
+    (3, "certificate"): "387d27004b699dad",
+    (5, "witness"): "b85304ef50593910",
+    (5, "certificate"): "5c2c506799e90a4e",
+    (9, "witness"): "6d387054c13d09a5",
+    (9, "certificate"): "35411436799ce8e9",
+}
+
+
+@pytest.mark.parametrize("b,kind", BIREGULAR_DIGESTS)
+def test_biregular_output_digest(tmp_path, capsys, b, kind):
+    rng = random.Random(1000 * b + (kind == "certificate"))
+    if kind == "witness":
+        g = bipartite_witness_graph(40, b, rng)
+    else:
+        g = subdivide_multigraph(cycle_union_multigraph(60, b, rng))
+    (tmp_path / "g.graph").write_text(serialize_graph(g))
+    assert main(["biregular", str(tmp_path / "g.graph")]) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n")[0] == ("SAT" if kind == "witness" else "CERT")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == BIREGULAR_DIGESTS[b, kind]
 
 
 @pytest.mark.parametrize("target", ["bireg", "even", "subcubic", "odd"])
