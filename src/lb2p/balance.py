@@ -58,11 +58,11 @@ def parse_partition(text: str, n: int) -> TwoPartition:
     """One line of n characters from {0,1}, newline-terminated."""
     line = text.strip("\n")
     if "\n" in line:
-        raise ValueError("partition file must be a single line")
+        raise ValueError("expected a single line")
     if len(line) != n:
-        raise ValueError(f"expected {n} labels, got {len(line)}")
+        raise ValueError(f"expected {n} characters, got {len(line)}")
     if line.strip("01"):
-        raise ValueError("labels must be characters 0 or 1")
+        raise ValueError("characters must be 0 or 1")
     return TwoPartition(tuple(map(int, line)))
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .balance import check, parse_partition
+from .balance import parse_partition as parse_assignment  # lift's parse, traced by this name
 from .biregular import Certificate, NotApplicable, solve_biregular
 from .gadgets import gadget_f1, gadget_f2, gadget_f4, gadget_forcing, verify_contract
 from .graphs import GraphFormatError, parse_graph
@@ -26,7 +27,6 @@ from .reductions import (
     InvalidPartitionError,
     UnsatAssignmentError,
     assignment_to_partition,
-    parse_assignment,
     partition_to_assignment,
     read_artifact,
     reduce_by_name,
@@ -115,9 +115,12 @@ def _cmd_biregular(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    inst = parse_nae(Path(args.formula).read_text(encoding="ascii"))
+    inst = parse_nae(args.formula.read_text(encoding="ascii"))
+    base = Path(args.out) if args.out else args.formula.with_suffix("")
+    for path in (base.with_name(base.name + ".graph"), base.with_name(base.name + ".roles")):
+        if path.resolve() == args.formula.resolve():
+            raise ValueError(f"{path} would overwrite the formula it is reduced from")
     artifact = reduce_by_name(args.target, inst, args.r)
-    base = args.out if args.out else str(Path(args.formula).with_suffix(""))
     graph_path, roles_path = write_artifact(artifact, base)
     print(summary(artifact))
     print(f"wrote {graph_path} {roles_path}")
@@ -128,7 +131,7 @@ def _cmd_lift(args) -> int:
     artifact = read_artifact(args.base)
     assignment = parse_assignment(
         Path(args.assignment).read_text(encoding="ascii"), artifact.n_vars
-    )
+    ).labels
     try:
         partition = assignment_to_partition(artifact, assignment)
     except UnsatAssignmentError as exc:
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=REDUCTION_NAMES, required=True)
     p.add_argument("--r", type=int, default=1, help="half-width of clause blocks (bireg only)")
     p.add_argument("--out", help="output base path (default: formula path without extension)")
-    p.add_argument("formula", help=FORMULA_FORMAT)
+    p.add_argument("formula", type=Path, help=FORMULA_FORMAT)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("lift", help="map a satisfying assignment to a valid partition")

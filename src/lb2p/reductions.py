@@ -7,20 +7,17 @@ the rows of the ``REDUCTIONS`` table:
 * ``subcubic``  closed mode, bipartite with max degree 3, 30n + k vertices
 * ``odd``       closed mode, all degrees odd, max degree 3, 30n + 10k vertices
 
-Every constructor returns the graph plus a total role map (vertex -> tagged
-role), verifies its gadget contracts first, and checks its class
+Every constructor verifies its gadget contracts first and checks its class
 postconditions on one ``classify`` report, which the artifact keeps.  The
-role map supports the two directional maps: a satisfying assignment lifts
-to a checker-valid partition, and a valid partition projects back to a
-satisfying assignment.  Both maps check their result and raise, never
-assert, when the graph disagrees with its roles.
-
-The role map is fixed by the table row's layout and the instance shape.
-The constructors, ``write_artifact`` and ``read_artifact`` all take it from
-there, so a ``.roles`` file is its header plus the records the header
-determines, and ``read_artifact`` accepts exactly those records.
-Constructors, lift and extract do O(n + k) work, apart from the one numpy
-sort that builds or loads the graph.
+table row's layout is the role map: its blocks, placed one after another,
+give every vertex a tagged role by offset, so a ``.roles`` file is its
+header plus the records the header determines, and ``read_artifact``
+accepts exactly those records.  The role map supports the two directional
+maps: a satisfying assignment lifts to a checker-valid partition, and a
+valid partition projects back to a satisfying assignment.  Both maps check
+their result and raise, never assert, when the graph disagrees with its
+roles.  Constructors, lift and extract do O(n + k) work, apart from the one
+numpy sort that builds or loads the graph.
 
 Vertex layout is chosen so the exact solver's index-order branching performs
 well: variable vertices (or whole gadget blocks, in the closed
@@ -59,7 +56,6 @@ __all__ = [
     "partition_to_assignment",
     "write_artifact",
     "read_artifact",
-    "parse_assignment",
 ]
 
 GAMMA_SIZE = 30
@@ -78,32 +74,22 @@ class RoleMapError(ValueError):
 
 
 Role = tuple[str, tuple[int, ...]]
+Block = tuple[int, Sequence[Role], int]  # (first vertex, template, count)
 
 
 @dataclass(frozen=True)
 class ReductionArtifact:
-    """Reduction output: graph, total role map, and the instance shape."""
+    """Reduction output: the graph and the instance shape, which with the
+    table row's layout give every vertex its role."""
 
     name: str
     mode: str
     graph: Graph
-    roles: tuple[Role, ...]
     n_vars: int
     n_clauses: int
     r: int = 0
     # the report a constructor checked; None when read_artifact loaded it
     classes: Optional[ClassReport] = field(default=None, compare=False, repr=False)
-
-    def role_index(self) -> dict[Role, int]:
-        return {role: v for v, role in enumerate(self.roles)}
-
-
-def parse_assignment(text: str, n: int) -> tuple[int, ...]:
-    """One line of n characters from {0,1}, newline-terminated."""
-    line = text.strip("\n")
-    if "\n" in line or len(line) != n or line.strip("01"):
-        raise ValueError(f"expected one line of {n} characters from 0/1")
-    return tuple(map(int, line))
 
 
 @cache
@@ -113,37 +99,37 @@ def _gamma_template() -> tuple[Role, ...]:
     return tuple([("p", (slot[x],)) if x in slot else ("g", (x,)) for x in range(GAMMA_SIZE)])
 
 
-def _roles(name: str, n: int, k: int, r: int = 0) -> tuple[Role, ...]:
-    """The role of every vertex, fixed by the reduction's layout and the
-    instance shape: each (template, count) block repeats its template once
-    per variable (count n) or clause (count k), and the template role (tag,
-    rest) of copy i is (tag, (i, *rest))."""
-    return tuple([
-        (tag, (i, *rest))
-        for template, count in REDUCTIONS[name].layout(n, k, r)
-        for i in range(count)
-        for tag, rest in template
-    ])
+def _blocks(name: str, n: int, k: int, r: int) -> tuple[list[Block], int]:
+    """The layout's blocks as (first vertex, template, count), and the vertex
+    count.  A block repeats its template once per variable (count n) or
+    clause (count k): copy i of the template role (tag, rest) at slot s is
+    vertex first + len(template)*i + s, and its role is (tag, (i, *rest))."""
+    blocks, first = [], 0
+    for template, count in REDUCTIONS[name].layout(n, k, r):
+        blocks.append((first, template, count))
+        first += len(template) * count
+    return blocks, first
 
 
-def _records(roles: Sequence[Role]) -> list[str]:
-    """The role-map lines below the header: 'vertex tag i' or 'vertex tag i
-    j', as every role has one or two indices."""
-    return [
-        f"{v} {tag} {idx[0]} {idx[1]}" if len(idx) > 1 else f"{v} {tag} {idx[0]}"
-        for v, (tag, idx) in enumerate(roles)
-    ]
+def _records(blocks: Sequence[Block]) -> list[str]:
+    """The role-map lines below the header, 'vertex tag i' plus the role's
+    further indices, built block by block from each slot's tag and tail."""
+    records = []
+    for first, template, count in blocks:
+        width = len(template)
+        slots = [(s, f" {tag} ", "".join(f" {x}" for x in rest)) for s, (tag, rest) in enumerate(template)]
+        records += [f"{first + width * i + s}{tag}{i}{tail}" for i in range(count) for s, tag, tail in slots]
+    return records
 
 
 def _artifact(name: str, inst: NaeInstance, edges, r: int = 0) -> ReductionArtifact:
     """The artifact of the reduction's edges and layout, once its graph passes
     the class postcondition (a raise, so that it also holds under python -O)."""
-    roles = _roles(name, inst.n, inst.k, r)
-    graph = Graph.from_edges(len(roles), edges)
+    graph = Graph.from_edges(_blocks(name, inst.n, inst.k, r)[1], edges)
     classes = classify(graph)
     if not REDUCTIONS[name].in_class(classes, r):
         raise AssertionError(f"{name} reduction built a graph outside its class: {classes}")
-    return ReductionArtifact(name, REDUCTIONS[name].mode, graph, roles, inst.n, inst.k, r, classes)
+    return ReductionArtifact(name, REDUCTIONS[name].mode, graph, inst.n, inst.k, r, classes)
 
 
 def reduce_open_biregular(inst: NaeInstance, r: int = 1) -> ReductionArtifact:
@@ -242,7 +228,8 @@ def _closed_rules(a, cancel, clause_pvars) -> dict[str, Callable[..., int]]:
 class Reduction:
     """One row of ``REDUCTIONS``.  ``build`` calls the constructor by its
     module-level name, where a tracing wrapper sees the call.  ``layout``
-    gives the blocks of ``_roles``, the first holding the input ("p") roles."""
+    gives the (template, count) blocks that ``_blocks`` places one after
+    another from vertex 0, the first holding the input ("p") roles."""
 
     mode: str
     build: Callable[[NaeInstance, int], ReductionArtifact]
@@ -314,17 +301,21 @@ def summary(artifact: ReductionArtifact) -> str:
     return f"{artifact.graph.n} vertices {REDUCTIONS[artifact.name].describe(artifact.classes)}"
 
 
-def _clause_pvars(artifact: ReductionArtifact, index: dict[Role, int]) -> list[list[tuple[int, int]]]:
+def _clause_pvars(artifact: ReductionArtifact, blocks: Sequence[Block]) -> list[list[tuple[int, int]]]:
     """Per clause, the (p vertex, variable) pairs adjacent to its clause
-    vertex, in vertex order; RoleMapError unless there are three."""
-    roles = artifact.roles
+    vertex, in vertex order; RoleMapError unless there are three.  Clause j's
+    vertex opens copy j of the first block of q roles; a p vertex w lies in
+    block 0 at a p slot, of variable w // width."""
+    (_, inputs, _), *rest = blocks
+    width, end = len(inputs), len(inputs) * artifact.n_vars
+    is_p = [tag == "p" for tag, _ in inputs]
+    first, clause_template, _ = next(block for block in rest if block[1][0][0] == "q")
     ptr, nbrs = memoryview(artifact.graph.indptr), memoryview(artifact.graph.nbrs)
-    closed = artifact.mode == "closed"
     out = []
     for j in range(artifact.n_clauses):
-        qv = index[("q", (j,) if closed else (j, 1))]
+        qv = first + len(clause_template) * j
         around = nbrs[ptr[qv] : ptr[qv + 1]]
-        members = [(w, roles[w][1][0]) for w in around if roles[w][0] == "p"]
+        members = [(w, w // width) for w in around if w < end and is_p[w % width]]
         if len(members) != 3:
             raise RoleMapError(
                 f"clause vertex {qv} has {len(members)} variable neighbours, expected 3"
@@ -349,7 +340,8 @@ def assignment_to_partition(
     if not set(assignment) <= {0, 1}:
         raise ValueError("assignment entries must be 0 or 1")
     a = assignment
-    clause_pvars = _clause_pvars(artifact, artifact.role_index())
+    blocks, _ = _blocks(artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r)
+    clause_pvars = _clause_pvars(artifact, blocks)
     for j, pvars in enumerate(clause_pvars):
         if len({a[var] for _, var in pvars}) == 1:
             raise UnsatAssignmentError(f"clause {j} is monochrome under the assignment")
@@ -357,7 +349,11 @@ def assignment_to_partition(
     # label that cancels the clause's surplus
     cancel = [int(sum(phi_star(a[var]) for _, var in pvars) < 0) for pvars in clause_pvars]
     rules = REDUCTIONS[artifact.name].rules(a, cancel, clause_pvars)
-    partition = TwoPartition(tuple([rules[tag](*idx) for tag, idx in artifact.roles]))
+    labels = []
+    for _, template, count in blocks:
+        slots = [(rules[tag], rest) for tag, rest in template]
+        labels += [rule(i, *rest) for i in range(count) for rule, rest in slots]
+    partition = TwoPartition(tuple(labels))
     violations = check(artifact.graph, partition, artifact.mode)
     if violations:
         raise RoleMapError(
@@ -382,18 +378,18 @@ def partition_to_assignment(
     if violations:
         raise InvalidPartitionError(f"partition violates balance at {violations}")
     labels = partition.labels
-    index = artifact.role_index()
-    template, _ = REDUCTIONS[artifact.name].layout(0, 0, artifact.r)[0]
-    tails = [rest for tag, rest in template if tag == "p"]
+    blocks, _ = _blocks(artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r)
+    _, inputs, _ = blocks[0]
+    slots = [s for s, (tag, _) in enumerate(inputs) if tag == "p"]
     assignment = []
     for i in range(artifact.n_vars):
-        values = {labels[index[("p", (i, *tail))]] for tail in tails}
+        values = {labels[len(inputs) * i + s] for s in slots}
         if len(values) != 1:
             raise RoleMapError(
                 f"the inputs of variable {i} disagree: the graph does not match its role map"
             )
         assignment.append(values.pop())
-    for j, pvars in enumerate(_clause_pvars(artifact, index)):
+    for j, pvars in enumerate(_clause_pvars(artifact, blocks)):
         if len({assignment[var] for _, var in pvars}) != 2:
             raise RoleMapError(
                 f"clause {j} is monochrome: the graph does not match its role map"
@@ -414,7 +410,8 @@ def write_artifact(artifact: ReductionArtifact, base: Union[str, Path]) -> tuple
         f"reduction={artifact.name} mode={artifact.mode} "
         f"n={artifact.n_vars} k={artifact.n_clauses} r={artifact.r}"
     )
-    roles_path.write_text("\n".join([header, *_records(artifact.roles)]) + "\n", encoding="ascii")
+    records = _records(_blocks(artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r)[0])
+    roles_path.write_text("\n".join([header, *records]) + "\n", encoding="ascii")
     return graph_path, roles_path
 
 
@@ -442,11 +439,10 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
     # has n + 2rk >= 3 + 8r vertices, so a larger r is refused before that.
     if r > graph.n:
         raise RoleMapError(f"r={r} exceeds the graph's {graph.n} vertices")
-    order = sum(len(template) * count for template, count in REDUCTIONS[name].layout(n, k, r))
+    blocks, order = _blocks(name, n, k, r)
     if order != graph.n:
         raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")
-    roles = _roles(name, n, k, r)
-    expected, records = _records(roles), lines[1:]
+    expected, records = _records(blocks), lines[1:]
     if records != expected:
         i = next(
             (i for i, (a, b) in enumerate(zip(records, expected)) if a != b),
@@ -455,4 +451,4 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
         want = repr(expected[i]) if i < len(expected) else "end of file"
         found = repr(records[i]) if i < len(records) else "end of file"
         raise RoleMapError(f"line {i + 2}: expected {want}, found {found}")
-    return ReductionArtifact(name, mode, graph, roles, n, k, r)
+    return ReductionArtifact(name, mode, graph, n, k, r)

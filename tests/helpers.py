@@ -24,8 +24,10 @@ from lb2p.biregular import (
     kk1_factor,
     validate_2odd_biregular,
 )
+from lb2p.gadgets import gadget_forcing
 from lb2p.graphs import bfs_distances, connected_components
 from lb2p.nae import NaeInstance
+from lb2p.reductions import REDUCTIONS, UnsatAssignmentError
 
 
 def cycle(n: int) -> Graph:
@@ -372,6 +374,89 @@ def occurrence_slot(inst: NaeInstance, var: int, clause_index: int) -> int:
             if j == clause_index:
                 return slot
     raise ValueError(f"variable {var} does not occur in clause {clause_index}")
+
+
+def planted_nae_instance(n: int, rng: random.Random) -> tuple[NaeInstance, tuple[int, ...]]:
+    """A valid instance (n a multiple of 3) and a balanced assignment that
+    satisfies it: random occurrence triples, repaired by random swaps until
+    every clause holds three distinct variables of both values."""
+    planted = [0] * (n // 2) + [1] * (n - n // 2)
+    rng.shuffle(planted)
+    slots = [i for i in range(n) for _ in range(4)]
+    rng.shuffle(slots)
+
+    def bad(j: int) -> bool:
+        clause = slots[3 * j : 3 * j + 3]
+        return len(set(clause)) < 3 or len({planted[x] for x in clause}) < 2
+
+    while broken := [j for j in range(len(slots) // 3) if bad(j)]:
+        p, q = 3 * rng.choice(broken) + rng.randrange(3), rng.randrange(len(slots))
+        slots[p], slots[q] = slots[q], slots[p]
+    clauses = [tuple(slots[3 * j : 3 * j + 3]) for j in range(len(slots) // 3)]
+    return NaeInstance.from_clauses(n, clauses), tuple(planted)
+
+
+def reference_roles(art) -> list[tuple[str, tuple[int, ...]]]:
+    """The role of every vertex of a reduction artifact: the layout spelled
+    out block by block, as each construction places its vertices."""
+    name, n, k, r = art.name, art.n_vars, art.n_clauses, art.r
+    if name == "bireg":
+        roles = [("p", (i,)) for i in range(n)]
+        return roles + [("q", (j, l)) for j in range(k) for l in range(1, 2 * r + 1)]
+    if name == "even":
+        roles = [("p", (i, t)) for i in range(n) for t in range(1, 5)]
+        roles += [("g", (i, j)) for i in range(n) for j in range(1, 13)]
+        roles += [("q", (j, l)) for j in range(k) for l in (1, 2)]
+        return roles + [("v", (j,)) for j in range(k)]
+    inputs = gadget_forcing().inputs
+    roles = [
+        ("p", (i, inputs.index(local) + 1)) if local in inputs else ("g", (i, local))
+        for i in range(n)
+        for local in range(30)
+    ]
+    roles += [("q", (j,)) for j in range(k)]
+    if name == "odd":
+        roles += [(tag, (j, t)) for j in range(k) for t in range(1, 4) for tag in "yzb"]
+    return roles
+
+
+def reference_role_index(art) -> dict[tuple[str, tuple[int, ...]], int]:
+    """The vertex of every role: ``reference_roles`` inverted."""
+    return {role: v for v, role in enumerate(reference_roles(art))}
+
+
+def _reference_clause_pvars(art, roles, index) -> list[list[tuple[int, int]]]:
+    """Per clause, the (p vertex, variable) pairs around its clause vertex."""
+    adj, out = adjacency(art.graph), []
+    for j in range(art.n_clauses):
+        qv = index[("q", (j,) if art.mode == "closed" else (j, 1))]
+        out.append([(w, roles[w][1][0]) for w in adj[qv] if roles[w][0] == "p"])
+    return out
+
+
+def reference_lift(art, assignment) -> TwoPartition:
+    """The lift through the per-vertex role tuples: each vertex's label is
+    its role's rule; the oracle of ``assignment_to_partition``."""
+    roles = reference_roles(art)
+    clause_pvars = _reference_clause_pvars(art, roles, reference_role_index(art))
+    if any(len({assignment[var] for _, var in pvars}) == 1 for pvars in clause_pvars):
+        raise UnsatAssignmentError("some clause is monochrome under the assignment")
+    cancel = [int(sum(2 * assignment[var] - 1 for _, var in pvars) < 0) for pvars in clause_pvars]
+    rules = REDUCTIONS[art.name].rules(assignment, cancel, clause_pvars)
+    return TwoPartition(tuple(rules[tag](*idx) for tag, idx in roles))
+
+
+def reference_extract(art, partition: TwoPartition) -> tuple[int, ...]:
+    """The labels of each variable's p vertices, found through the role
+    tuples, which must agree; the oracle of ``partition_to_assignment`` on
+    valid partitions."""
+    values: dict[int, set[int]] = {}
+    for v, (tag, idx) in enumerate(reference_roles(art)):
+        if tag == "p":
+            values.setdefault(idx[0], set()).add(partition.labels[v])
+    if any(len(labels) != 1 for labels in values.values()):
+        raise ValueError("the inputs of some variable disagree")
+    return tuple(values[i].pop() for i in range(art.n_vars))
 
 
 def reference_propagate(g: Graph, mode: str, partial, waived=frozenset()) -> tuple[list, bool]:

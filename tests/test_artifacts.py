@@ -15,14 +15,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lb2p
-from helpers import CANONICAL_N3, random_nae_instance
+from helpers import (
+    CANONICAL_N3,
+    planted_nae_instance,
+    random_nae_instance,
+    reference_extract,
+    reference_lift,
+    reference_role_index,
+    reference_roles,
+)
 from lb2p import Graph, TwoPartition, check, parse_nae, serialize_graph
 from lb2p.cli import main
-from lb2p.gadgets import gadget_forcing
 from lb2p.reductions import (
     REDUCTIONS,
     RoleMapError,
-    _roles,
+    UnsatAssignmentError,
     assignment_to_partition,
     partition_to_assignment,
     read_artifact,
@@ -34,38 +41,18 @@ ALL_REDUCTIONS = ["bireg", "even", "subcubic", "odd"]
 SRC = str(Path(lb2p.__file__).resolve().parents[1])
 
 
-def _reference_roles(name, n, k, r):
-    """The layout spelled out block by block, as each construction places
-    its vertices."""
-    if name == "bireg":
-        roles = [("p", (i,)) for i in range(n)]
-        return roles + [("q", (j, l)) for j in range(k) for l in range(1, 2 * r + 1)]
-    if name == "even":
-        roles = [("p", (i, t)) for i in range(n) for t in range(1, 5)]
-        roles += [("g", (i, j)) for i in range(n) for j in range(1, 13)]
-        roles += [("q", (j, l)) for j in range(k) for l in (1, 2)]
-        return roles + [("v", (j,)) for j in range(k)]
-    inputs = gadget_forcing().inputs
-    roles = [
-        ("p", (i, inputs.index(local) + 1)) if local in inputs else ("g", (i, local))
-        for i in range(n)
-        for local in range(30)
-    ]
-    roles += [("q", (j,)) for j in range(k)]
-    if name == "odd":
-        roles += [(tag, (j, t)) for j in range(k) for t in range(1, 4) for tag in "yzb"]
-    return roles
-
-
 @pytest.mark.parametrize("name", ALL_REDUCTIONS)
-def test_roles_match_layout_and_constructors(name):
+def test_roles_match_layout_and_constructors(tmp_path, name):
     rng = random.Random(21)
     for inst in (parse_nae(CANONICAL_N3), random_nae_instance(6, rng), random_nae_instance(9, rng)):
         for r in (1, 2) if name == "bireg" else (0,):
             art = reduce_by_name(name, inst, r)
             assert art.r == r
-            assert _roles(name, inst.n, inst.k, r) == art.roles
-            assert list(art.roles) == _reference_roles(name, inst.n, inst.k, r)
+            _, roles_path = write_artifact(art, tmp_path / name)
+            records = roles_path.read_text().splitlines()[1:]
+            assert records == [
+                " ".join([str(v), tag, *map(str, idx)]) for v, (tag, idx) in enumerate(reference_roles(art))
+            ]
 
 
 # sha256 prefixes of the .graph bytes followed by the .roles bytes, recorded
@@ -224,7 +211,8 @@ def _bireg_with_extra_edge(tmp_path):
     lift then has balance -2 at both, yet the role map still reads."""
     art = reduce_by_name("bireg", parse_nae(CANONICAL_N3))
     part = assignment_to_partition(art, (0, 0, 1))
-    a, b = art.role_index()[("q", (0, 2))], art.role_index()[("q", (1, 2))]
+    index = reference_role_index(art)
+    a, b = index[("q", (0, 2))], index[("q", (1, 2))]
     assert part.labels[a] == part.labels[b] == 0 and not art.graph.has_edge(a, b)
     base = tmp_path / "extra"
     write_artifact(art, base)
@@ -275,8 +263,8 @@ def test_extract_rejects_graph_with_moved_input(tmp_path, capsys):
     the edited graph, but the inputs the role map names now disagree."""
     art = reduce_by_name("even", parse_nae(CANONICAL_N3))
     labels = list(assignment_to_partition(art, (0, 0, 1)).labels)
-    a = art.role_index()[("p", (0, 1))]
-    b = next(v for v, (tag, _) in enumerate(art.roles) if tag == "g" and labels[v] != labels[a])
+    a = reference_role_index(art)[("p", (0, 1))]
+    b = next(v for v, (tag, _) in enumerate(reference_roles(art)) if tag == "g" and labels[v] != labels[a])
     swap = {a: b, b: a}
     moved = Graph.from_edges(art.graph.n, [(swap.get(u, u), swap.get(v, v)) for u, v in art.graph.edges()])
     labels[a], labels[b] = labels[b], labels[a]
@@ -291,3 +279,26 @@ def test_extract_rejects_graph_with_moved_input(tmp_path, capsys):
     assert main(["extract", str(base), str(tmp_path / "part")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", ALL_REDUCTIONS)
+def test_lift_and_extract_match_role_tuple_route(name):
+    """The lift and the extract read the layout's blocks by offset; on
+    planted formulas they give exactly what the per-vertex role tuples give,
+    for the planted assignment, its complement and the flipped partitions."""
+    rng = random.Random(f"blocks:{name}")
+    for n in (6, 12, 24, 48, 96):
+        inst, planted = planted_nae_instance(n, rng)
+        for r in (1, 2, 3) if name == "bireg" else (0,):
+            art = reduce_by_name(name, inst, r)
+            for a in (planted, tuple(1 - x for x in planted)):
+                part = assignment_to_partition(art, a)
+                assert part == reference_lift(art, a)
+                flipped = TwoPartition(tuple(1 - x for x in part.labels))
+                assert partition_to_assignment(art, part) == reference_extract(art, part) == a
+                assert partition_to_assignment(art, flipped) == reference_extract(art, flipped)
+            monochrome = (0,) * n
+            with pytest.raises(UnsatAssignmentError):
+                reference_lift(art, monochrome)
+            with pytest.raises(UnsatAssignmentError):
+                assignment_to_partition(art, monochrome)

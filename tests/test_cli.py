@@ -277,6 +277,24 @@ def test_extract_rejects_invalid_partition(files, capsys):
     assert "INVALIDPARTITION" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", [".graph", ".roles"])
+@pytest.mark.parametrize("out", [False, True])
+def test_reduce_refuses_to_overwrite_its_formula(tmp_path, capsys, suffix, out):
+    """A formula stored at BASE.graph or BASE.roles, with the default base or
+    with --out spelled through another directory, is refused with exit 2
+    before anything is written."""
+    formula = tmp_path / f"foo{suffix}"
+    formula.write_text(CANONICAL_N3)
+    (tmp_path / "sub").mkdir()
+    extra = ["--out", str(tmp_path / "sub" / ".." / "foo")] if out else []
+    assert main(["reduce", "--target", "even", *extra, str(formula)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert formula.read_text() == CANONICAL_N3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([formula.name, "sub"])
+
+
 @pytest.mark.parametrize("name", ["f1", "f2", "forcing", "f4"])
 def test_gadget_verify(name, capsys):
     code = main(["gadget", "verify", "--name", name])

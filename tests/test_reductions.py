@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import CANONICAL_N3, occurrence_slot, random_nae_instance, run_optimized
+from helpers import (
+    CANONICAL_N3,
+    occurrence_slot,
+    random_nae_instance,
+    reference_role_index,
+    reference_roles,
+    run_optimized,
+)
 from lb2p import (
     InvalidPartitionError,
     TwoPartition,
@@ -39,8 +46,8 @@ def test_bireg_counts_and_degrees(n3):
     art = reduce_open_biregular(n3, 1)
     g = art.graph
     assert g.n == 3 + 2 * 1 * 4 == 11
-    assert all(g.degree(v) == 8 for v, (tag, _) in enumerate(art.roles) if tag == "p")
-    assert all(g.degree(v) == 3 for v, (tag, _) in enumerate(art.roles) if tag == "q")
+    assert all(g.degree(v) == 8 for v, (tag, _) in enumerate(reference_roles(art)) if tag == "p")
+    assert all(g.degree(v) == 3 for v, (tag, _) in enumerate(reference_roles(art)) if tag == "q")
     assert classify(g).biregular == (3, 8)
 
 
@@ -58,7 +65,7 @@ def test_even_counts_and_degrees(n3):
     g = art.graph
     assert g.n == 16 * 3 + 3 * 4 == 60
     degs = {"p": set(), "g": set(), "q": set(), "v": set()}
-    for v, (tag, _) in enumerate(art.roles):
+    for v, (tag, _) in enumerate(reference_roles(art)):
         degs[tag].add(g.degree(v))
     assert degs == {"p": {4}, "g": {2}, "q": {4}, "v": {2}}
     rep = classify(g)
@@ -69,7 +76,7 @@ def test_even_counts_and_degrees(n3):
 def test_even_gadget_cycle_positions_two_colorable(n3):
     art = reduce_open_even(n3)
     bip = bipartition(art.graph)
-    idx = art.role_index()
+    idx = reference_role_index(art)
     for i in range(n3.n):
         side_of_first = idx[("p", (i, 1))] in bip.side_x
         for t in range(2, 5):
@@ -84,10 +91,10 @@ def test_subcubic_counts(n3):
     assert rep.max_degree == 3
     assert bipartition(g) is not None
     assert all(
-        g.degree(v) == 3 for v, (tag, _) in enumerate(art.roles) if tag == "q"
+        g.degree(v) == 3 for v, (tag, _) in enumerate(reference_roles(art)) if tag == "q"
     )
     assert all(
-        g.degree(v) == 2 for v, (tag, _) in enumerate(art.roles) if tag == "p"
+        g.degree(v) == 2 for v, (tag, _) in enumerate(reference_roles(art)) if tag == "p"
     )
 
 
@@ -136,7 +143,7 @@ def test_class_postcondition_raises_under_optimize_flag():
 
 def _rebuild_edges_from_roles(art, inst):
     """Re-derive the edge set from the construction rules and the role map."""
-    idx = art.role_index()
+    idx = reference_role_index(art)
     edges = set()
     if art.name == "bireg":
         for j, clause in enumerate(inst.clauses):
@@ -166,7 +173,7 @@ def _rebuild_edges_from_roles(art, inst):
 
     gamma = gadget_forcing()
     glocal = {}
-    for v, (tag, role_idx) in enumerate(art.roles):
+    for v, (tag, role_idx) in enumerate(reference_roles(art)):
         if tag == "g":
             glocal[role_idx] = v
         elif tag == "p":
@@ -219,7 +226,7 @@ def test_bireg_lift_p_balance_zero(n3):
     art = reduce_open_biregular(n3, 1)
     part = assignment_to_partition(art, (0, 0, 1))
     rep = balance_report(art.graph, part)
-    for v, (tag, _) in enumerate(art.roles):
+    for v, (tag, _) in enumerate(reference_roles(art)):
         if tag == "p":
             assert rep.open_balance[v] == 0
 
@@ -228,7 +235,7 @@ def test_even_lift_absorber_cancels(n3):
     art = reduce_open_even(n3)
     part = assignment_to_partition(art, (0, 0, 1))
     rep = balance_report(art.graph, part)
-    idx = art.role_index()
+    idx = reference_role_index(art)
     for j in range(n3.k):
         assert rep.open_balance[idx[("q", (j, 1))]] == 0
         assert rep.open_balance[idx[("q", (j, 2))]] == 0
@@ -239,7 +246,7 @@ def test_odd_lift_triangle_rule(n3):
     art = reduce_closed_odd(n3)
     part = assignment_to_partition(art, (0, 0, 1))
     rep = balance_report(art.graph, part)
-    idx = art.role_index()
+    idx = reference_role_index(art)
     for j in range(n3.k):
         qv = idx[("q", (j,))]
         assert rep.closed_balance[qv] == 0
@@ -262,7 +269,7 @@ def test_unsat_assignment_rejected(name, n3):
 def test_flipping_one_gadget_input_rejected(name, n3):
     art = reduce_by_name(name, n3)
     part = assignment_to_partition(art, (0, 0, 1))
-    idx = art.role_index()
+    idx = reference_role_index(art)
     labels = list(part.labels)
     labels[idx[("p", (0, 1))]] = 1 - labels[idx[("p", (0, 1))]]
     with pytest.raises(InvalidPartitionError):
@@ -274,7 +281,7 @@ def test_bireg_mutated_clause_vertex_rejected(n3):
     # flipping one of its clause neighbors
     art = reduce_open_biregular(n3, 1)
     part = assignment_to_partition(art, (0, 0, 1))
-    idx = art.role_index()
+    idx = reference_role_index(art)
     labels = list(part.labels)
     labels[idx[("q", (0, 1))]] = 0
     with pytest.raises(InvalidPartitionError):
@@ -297,7 +304,7 @@ def test_monochrome_inputs_refuted(name):
     rng = random.Random(6)
     inst = random_nae_instance(6, rng)
     art = reduce_by_name(name, inst)
-    idx = art.role_index()
+    idx = reference_role_index(art)
     for beta in (0, 1):
         if name == "bireg":
             fixed = {idx[("p", (i,))]: beta for i in range(inst.n)}
