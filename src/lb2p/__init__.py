@@ -6,14 +6,7 @@ class constructively with cycle certificates, and run four verified
 NAE-3-SAT-E4 reductions.
 """
 
-from .balance import (
-    BalanceReport,
-    TwoPartition,
-    balance_report,
-    check,
-    parse_partition,
-    phi_star,
-)
+from .balance import BalanceReport, TwoPartition, balance_report, check, parse_partition, phi_star
 from .biregular import (
     Certificate,
     CycleCertificate,

@@ -51,7 +51,7 @@ class TwoPartition:
             raise ValueError("labels must be 0 or 1")
 
     def to_line(self) -> str:
-        return "".join(map(str, self.labels))
+        return bytes(self.labels).translate(bytes.maketrans(b"\0\1", b"01")).decode("ascii")
 
 
 def parse_partition(text: str, n: int) -> TwoPartition:
@@ -63,7 +63,7 @@ def parse_partition(text: str, n: int) -> TwoPartition:
         raise ValueError(f"expected {n} characters, got {len(line)}")
     if line.strip("01"):
         raise ValueError("characters must be 0 or 1")
-    return TwoPartition(tuple(map(int, line)))
+    return TwoPartition(tuple(line.encode("ascii").translate(bytes.maketrans(b"01", b"\0\1"))))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .reductions import (
     REDUCTION_NAMES,
     InvalidPartitionError,
     UnsatAssignmentError,
+    artifact_paths,
     assignment_to_partition,
     partition_to_assignment,
     read_artifact,
@@ -78,15 +79,9 @@ def _cmd_solve(args) -> int:
     if args.stats:
         import json  # only here, so that runs without --stats do not import it
 
-        stats = {
-            "status": outcome.status,
-            "nodes": outcome.nodes,
-            "propagations": outcome.propagations,
-            "conflicts": outcome.conflicts,
-            "probes": outcome.probes,
-            "components": outcome.components,
-            "seconds": round(time.perf_counter() - start, 6),
-        }
+        fields = ("status", "nodes", "propagations", "conflicts", "probes", "components")
+        stats = {field: getattr(outcome, field) for field in fields}
+        stats["seconds"] = round(time.perf_counter() - start, 6)
         print(json.dumps(stats), file=sys.stderr)
     if outcome.status == "timeout":
         print("TIMEOUT")
@@ -117,7 +112,7 @@ def _cmd_biregular(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = parse_nae(args.formula.read_text(encoding="ascii"))
     base = Path(args.out) if args.out else args.formula.with_suffix("")
-    for path in (base.with_name(base.name + ".graph"), base.with_name(base.name + ".roles")):
+    for path in artifact_paths(base):
         if path.resolve() == args.formula.resolve():
             raise ValueError(f"{path} would overwrite the formula it is reduced from")
     artifact = reduce_by_name(args.target, inst, args.r)
@@ -128,10 +123,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    inputs = {Path(path).resolve() for path in (*artifact_paths(args.base), args.assignment)}
+    if args.out and Path(args.out).resolve() in inputs:
+        raise ValueError(f"{args.out} would overwrite an input of the lift")
     artifact = read_artifact(args.base)
-    assignment = parse_assignment(
-        Path(args.assignment).read_text(encoding="ascii"), artifact.n_vars
-    ).labels
+    assignment = parse_assignment(Path(args.assignment).read_text(encoding="ascii"), artifact.n_vars).labels
     try:
         partition = assignment_to_partition(artifact, assignment)
     except UnsatAssignmentError as exc:
@@ -146,9 +142,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_extract(args) -> int:
     artifact = read_artifact(args.base)
-    partition = parse_partition(
-        Path(args.partition).read_text(encoding="ascii"), artifact.graph.n
-    )
+    partition = parse_partition(Path(args.partition).read_text(encoding="ascii"), artifact.graph.n)
     try:
         assignment = partition_to_assignment(artifact, partition)
     except InvalidPartitionError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,9 +72,11 @@ def _describe(kind: str, u: int, v: int) -> str:
     return f"vertex out of range in edge ({u},{v})"
 
 
-def _int64_ends(flat: Sequence[int]) -> np.ndarray:
-    """The endpoints as (m, 2) int64 pairs.  An endpoint beyond int64, out of
-    range for any allowed n, becomes -1."""
+def _int64_ends(pairs: Union[np.ndarray, Sequence[tuple[int, int]]]) -> np.ndarray:
+    """The endpoints as (m, 2) int64 pairs, of an (m, 2) array as it is or of
+    a list of pairs flattened.  An endpoint beyond int64, out of range for
+    any allowed n, becomes -1."""
+    flat = pairs if isinstance(pairs, np.ndarray) else list(chain.from_iterable(pairs))
     try:
         return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
@@ -141,16 +143,18 @@ class Graph:
         return hash(self._key())
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges: Union[np.ndarray, Iterable[tuple[int, int]]]) -> "Graph":
+        """The graph of ``edges``: pairs, or an (m, 2) integer array."""
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
-        pairs = list(edges)
-        if pairs and set(map(len, pairs)) != {2}:
+        array = isinstance(edges, np.ndarray)
+        pairs = edges if array else list(edges)
+        if len(pairs) and (pairs.shape[1:] != (2,) if array else set(map(len, pairs)) != {2}):
             raise ValueError("every edge must be a pair (u, v)")
         try:
-            return cls(n, *_csr(n, _int64_ends(list(chain.from_iterable(pairs)))))
+            return cls(n, *_csr(n, _int64_ends(pairs)))
         except _EdgeError as exc:
             u, v = pairs[exc.index]
             if exc.kind == "range":
@@ -380,8 +384,8 @@ def serialize_graph(g: Graph) -> str:
     """Canonical form: header then edges sorted as (min,max) lexicographically."""
     tails = g.tails()
     up = tails < g.nbrs  # each edge once, as in ``edges``, without a tuple per edge
-    lines = [f"{u} {v}" for u, v in zip(tails[up].tolist(), g.nbrs[up].tolist())]
-    return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
+    ends = np.stack((tails[up], g.nbrs[up]), axis=1).ravel().tolist()
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(ends)
 
 
 def _reach(g: Graph, roots: Iterable[int], dist: list[Optional[int]]) -> Iterable[list[int]]:

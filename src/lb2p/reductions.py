@@ -16,8 +16,11 @@ accepts exactly those records.  The role map supports the two directional
 maps: a satisfying assignment lifts to a checker-valid partition, and a
 valid partition projects back to a satisfying assignment.  Both maps check
 their result and raise, never assert, when the graph disagrees with its
-roles.  Constructors, lift and extract do O(n + k) work, apart from the one
-numpy sort that builds or loads the graph.
+roles.  Every step is block arithmetic over numpy arrays, with no Python
+step per vertex or edge: a constructor broadcasts its template edges over
+the copies, the lift fills each template slot's strided slice of one
+label array, the extract reshapes block 0, and one %-format per block
+writes the records.
 
 Vertex layout is chosen so the exact solver's index-order branching performs
 well: variable vertices (or whole gadget blocks, in the closed
@@ -33,7 +36,9 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .balance import TwoPartition, check, phi_star
+import numpy as np
+
+from .balance import TwoPartition, check
 from .gadgets import ensure_verified, gadget_f1, gadget_f4, gadget_forcing
 from .graphs import ClassReport, Graph, classify, parse_graph, serialize_graph
 from .graphs import bipartition  # noqa: F401  (a layer that perfbench/tracer.py wraps here)
@@ -54,6 +59,7 @@ __all__ = [
     "summary",
     "assignment_to_partition",
     "partition_to_assignment",
+    "artifact_paths",
     "write_artifact",
     "read_artifact",
 ]
@@ -71,6 +77,9 @@ class InvalidPartitionError(ValueError):
 
 class RoleMapError(ValueError):
     """A role-map document is malformed or inconsistent."""
+
+
+_MISMATCH = "the graph does not match its role map"
 
 
 Role = tuple[str, tuple[int, ...]]
@@ -111,20 +120,42 @@ def _blocks(name: str, n: int, k: int, r: int) -> tuple[list[Block], int]:
     return blocks, first
 
 
-def _records(blocks: Sequence[Block]) -> list[str]:
-    """The role-map lines below the header, 'vertex tag i' plus the role's
-    further indices, built block by block from each slot's tag and tail."""
-    records = []
+def _pairs(u, v) -> np.ndarray:
+    """The pairs (u, v) of two index arrays broadcast together, as rows."""
+    u, v = np.broadcast_arrays(u, v)
+    return np.stack((u.ravel(), v.ravel()), axis=1)
+
+
+def _records(blocks: Sequence[Block]) -> str:
+    """The role-map body below the header: per vertex one line 'vertex tag i'
+    plus the role's further indices.  Each block is one %-format of its
+    template's lines, repeated per copy, over (vertex, copy) pairs."""
+    body = []
     for first, template, count in blocks:
-        width = len(template)
-        slots = [(s, f" {tag} ", "".join(f" {x}" for x in rest)) for s, (tag, rest) in enumerate(template)]
-        records += [f"{first + width * i + s}{tag}{i}{tail}" for i in range(count) for s, tag, tail in slots]
-    return records
+        lines = "".join(f"%d {tag} %d{''.join(f' {x}' for x in rest)}\n" for tag, rest in template)
+        vertices = first + np.arange(count * len(template)).reshape(count, len(template))
+        body.append((lines * count) % tuple(_pairs(vertices, np.arange(count)[:, None]).ravel().tolist()))
+    return "".join(body)
 
 
-def _artifact(name: str, inst: NaeInstance, edges, r: int = 0) -> ReductionArtifact:
-    """The artifact of the reduction's edges and layout, once its graph passes
+def _copies(local, first: int, width: int, count: int) -> np.ndarray:
+    """A template's local edges once per copy, copy i shifted by first + width*i."""
+    local = np.asarray(local, dtype=np.int64).reshape(1, -1, 2)
+    return (first + width * np.arange(count)[:, None, None] + local).reshape(-1, 2)
+
+
+def _clause_inputs(inst: NaeInstance, width: int, inputs: Sequence[int]) -> np.ndarray:
+    """Per clause (k, 3), the input vertex carrying each member's occurrence:
+    slot t of its copy of the ``width``-vertex block-0 template is ``inputs[t - 1]``."""
+    clauses = np.array(inst.clauses, dtype=np.int64).reshape(-1, 3)
+    slots = np.array(occurrence_slots(inst), dtype=np.int64).reshape(-1, 3)
+    return width * clauses + np.asarray(inputs, dtype=np.int64)[slots - 1]
+
+
+def _artifact(name: str, inst: NaeInstance, parts, r: int = 0) -> ReductionArtifact:
+    """The artifact of the reduction's edge arrays and layout, once its graph passes
     the class postcondition (a raise, so that it also holds under python -O)."""
+    edges = np.concatenate([np.asarray(part, dtype=np.int64).reshape(-1, 2) for part in parts])
     graph = Graph.from_edges(_blocks(name, inst.n, inst.k, r)[1], edges)
     classes = classify(graph)
     if not REDUCTIONS[name].in_class(classes, r):
@@ -136,14 +167,9 @@ def reduce_open_biregular(inst: NaeInstance, r: int = 1) -> ReductionArtifact:
     """One vertex per variable, 2r per clause, complete joins on membership."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    n = inst.n
-    edges = [
-        (var, n + 2 * r * j + l)
-        for j, clause in enumerate(inst.clauses)
-        for var in clause
-        for l in range(2 * r)
-    ]
-    return _artifact("bireg", inst, edges, r)
+    clauses = np.array(inst.clauses, dtype=np.int64).reshape(-1, 3)
+    q = inst.n + 2 * r * np.arange(inst.k)[:, None] + np.arange(2 * r)
+    return _artifact("bireg", inst, [_pairs(clauses[:, :, None], q[:, None, :])], r)
 
 
 def reduce_open_even(inst: NaeInstance) -> ReductionArtifact:
@@ -155,72 +181,61 @@ def reduce_open_even(inst: NaeInstance) -> ReductionArtifact:
     u = lambda i, j: 4 * n + 12 * i + (j - 1)
     q = lambda j, l: 16 * n + 2 * j + (l - 1)
     v = lambda j: 16 * n + 2 * k + j
-    edges = []
-    for i in range(n):
-        for l in range(1, 5):
-            edges.append((p(i, l), u(i, 3 * l - 2)))
-            edges.append((u(i, 3 * l - 2), u(i, 3 * l - 1)))
-            edges.append((u(i, 3 * l - 1), u(i, 3 * l)))
-            edges.append((u(i, 3 * l), p(i, l % 4 + 1)))
-    for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
-        for var, t in zip(clause, slots):
-            edges.append((p(var, t), q(j, 1)))
-            edges.append((p(var, t), q(j, 2)))
-        edges.append((q(j, 1), v(j)))
-        edges.append((q(j, 2), v(j)))
-    return _artifact("even", inst, edges)
+    i, j, l = np.arange(n)[:, None], np.arange(k)[:, None], np.arange(1, 5)
+    return _artifact("even", inst, [
+        _pairs(p(i, l), u(i, 3 * l - 2)),
+        _pairs(u(i, 3 * l - 2), u(i, 3 * l - 1)),
+        _pairs(u(i, 3 * l - 1), u(i, 3 * l)),
+        _pairs(u(i, 3 * l), p(i, l % 4 + 1)),
+        _pairs(_clause_inputs(inst, 4, range(4))[:, :, None], q(j, l[:2])[:, None, :]),
+        _pairs(q(j, l[:2]), v(j)),
+    ])
 
 
-def _gamma_edges(n: int, gamma) -> list[tuple[int, int]]:
+def _gamma_edges(n: int, gamma) -> np.ndarray:
     """One copy of the forcing gadget per variable, copy i at GAMMA_SIZE*i."""
-    local = gamma.graph.edges()
-    return [(GAMMA_SIZE * i + a, GAMMA_SIZE * i + b) for i in range(n) for a, b in local]
+    return _copies(gamma.graph.edges(), 0, GAMMA_SIZE, n)
+
+
+def _subcubic_parts(inst: NaeInstance) -> tuple[list[np.ndarray], np.ndarray]:
+    """The subcubic edges, one forcing gadget per variable and clause j's vertex
+    GAMMA_SIZE*n + j joined to its three gadget inputs, and those inputs."""
+    gamma = gadget_forcing()
+    ensure_verified(gamma)
+    inputs = _clause_inputs(inst, GAMMA_SIZE, gamma.inputs)
+    clause = GAMMA_SIZE * inst.n + np.arange(inst.k)[:, None]
+    return [_gamma_edges(inst.n, gamma), _pairs(clause, inputs)], inputs
 
 
 def reduce_closed_subcubic(inst: NaeInstance) -> ReductionArtifact:
     """Per variable one 30-vertex forcing gadget, per clause one degree-3
     vertex joined to the inputs that carry its variables' occurrences."""
-    gamma = gadget_forcing()
-    ensure_verified(gamma)
-    n = inst.n
-    edges = _gamma_edges(n, gamma)
-    for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
-        for var, t in zip(clause, slots):
-            edges.append((GAMMA_SIZE * var + gamma.inputs[t - 1], GAMMA_SIZE * n + j))
-    return _artifact("subcubic", inst, edges)
+    return _artifact("subcubic", inst, _subcubic_parts(inst)[0])
 
 
 def reduce_closed_odd(inst: NaeInstance) -> ReductionArtifact:
     """Subcubic construction plus one triangle widget per clause, making
     every degree odd (each input gains a pendant strand)."""
-    gamma = gadget_forcing()
-    ensure_verified(gamma)
+    parts, inputs = _subcubic_parts(inst)
     f4 = gadget_f4()
     ensure_verified(f4)
-    n, k = inst.n, inst.k
-    f4_local = f4.graph.edges()
-    edges = _gamma_edges(n, gamma)
-    for j, (clause, slots) in enumerate(zip(inst.clauses, occurrence_slots(inst))):
-        q = GAMMA_SIZE * n + j
-        f4_base = GAMMA_SIZE * n + k + f4.graph.n * j
-        for t, (var, slot) in enumerate(zip(clause, slots)):
-            p_vertex = GAMMA_SIZE * var + gamma.inputs[slot - 1]
-            edges.append((q, p_vertex))
-            edges.append((f4_base + 3 * t, p_vertex))
-        edges.extend((f4_base + a, f4_base + b) for a, b in f4_local)
-    return _artifact("odd", inst, edges)
+    # clause j's widget is copy j from GAMMA_SIZE*n + k; strand t starts at its local 3t
+    first = GAMMA_SIZE * inst.n + inst.k
+    widget = first + f4.graph.n * np.arange(inst.k)[:, None]
+    parts += [_pairs(widget + 3 * np.arange(3), inputs), _copies(f4.graph.edges(), first, f4.graph.n, inst.k)]
+    return _artifact("odd", inst, parts)
 
 
-def _closed_rules(a, cancel, clause_pvars) -> dict[str, Callable[..., int]]:
-    completion = [gadget_forcing().completion(beta) for beta in (0, 1)]
+def _closed_rules(a, cancel, clause_vars) -> dict[str, Callable[..., int]]:
+    completion = np.array([gadget_forcing().completion(beta) for beta in (0, 1)], dtype=np.uint8)
     return {
         "p": lambda i, t: a[i],
-        "g": lambda i, local: completion[a[i]][local],
+        "g": lambda i, local: completion[a[i], local],
         "q": lambda j: cancel[j],
         "y": lambda j, t: 1 - cancel[j],
         "z": lambda j, t: cancel[j],
         # strand t of clause j hangs off the input of its t-th variable
-        "b": lambda j, t: 1 - a[clause_pvars[j][t - 1][1]],
+        "b": lambda j, t: 1 - a[clause_vars[j, t - 1]],
     }
 
 
@@ -229,7 +244,9 @@ class Reduction:
     """One row of ``REDUCTIONS``.  ``build`` calls the constructor by its
     module-level name, where a tracing wrapper sees the call.  ``layout``
     gives the (template, count) blocks that ``_blocks`` places one after
-    another from vertex 0, the first holding the input ("p") roles."""
+    another from vertex 0, the first holding the input ("p") roles.
+    ``rules(a, cancel, clause_vars)`` gives each tag's label rule over arrays:
+    the lift calls a rule once per template slot, on every copy at once."""
 
     mode: str
     build: Callable[[NaeInstance, int], ReductionArtifact]
@@ -245,7 +262,7 @@ REDUCTIONS = {
         build=lambda inst, r: reduce_open_biregular(inst, r),
         layout=lambda n, k, r: [([("p", ())], n), ([("q", (l,)) for l in range(1, 2 * r + 1)], k)],
         in_class=lambda c, r: c.biregular == (3, 8 * r),
-        rules=lambda a, cancel, clause_pvars: {"p": lambda i: a[i], "q": lambda j, l: l % 2},
+        rules=lambda a, cancel, clause_vars: {"p": lambda i: a[i], "q": lambda j, l: l % 2},
         describe=lambda c: "({},{})-biregular".format(*c.biregular),
     ),
     "even": Reduction(
@@ -258,7 +275,7 @@ REDUCTIONS = {
             ([("v", ())], k),
         ],
         in_class=lambda c, r: c.is_even and c.max_degree == 4 and c.is_bipartite,
-        rules=lambda a, cancel, clause_pvars: {
+        rules=lambda a, cancel, clause_vars: {
             "p": lambda i, t: a[i],
             "g": lambda i, j: a[i] if j % 3 == 1 else 1 - a[i],
             "q": lambda j, l: 1 if l == 1 else 0,
@@ -301,32 +318,30 @@ def summary(artifact: ReductionArtifact) -> str:
     return f"{artifact.graph.n} vertices {REDUCTIONS[artifact.name].describe(artifact.classes)}"
 
 
-def _clause_pvars(artifact: ReductionArtifact, blocks: Sequence[Block]) -> list[list[tuple[int, int]]]:
-    """Per clause, the (p vertex, variable) pairs adjacent to its clause
-    vertex, in vertex order; RoleMapError unless there are three.  Clause j's
-    vertex opens copy j of the first block of q roles; a p vertex w lies in
-    block 0 at a p slot, of variable w // width."""
+def _clause_pvars(artifact: ReductionArtifact, blocks: Sequence[Block]) -> np.ndarray:
+    """The (k, 3) variables of the p vertices adjacent to each clause vertex,
+    in vertex order, read in one gather of the clause vertices' rows;
+    RoleMapError, for the first clause vertex, unless there are three.
+    Clause j's vertex opens copy j of the first block of q roles; a p vertex
+    w lies in block 0 at a p slot, of variable w // width."""
     (_, inputs, _), *rest = blocks
     width, end = len(inputs), len(inputs) * artifact.n_vars
-    is_p = [tag == "p" for tag, _ in inputs]
+    is_p = np.array([tag == "p" for tag, _ in inputs])
     first, clause_template, _ = next(block for block in rest if block[1][0][0] == "q")
-    ptr, nbrs = memoryview(artifact.graph.indptr), memoryview(artifact.graph.nbrs)
-    out = []
-    for j in range(artifact.n_clauses):
-        qv = first + len(clause_template) * j
-        around = nbrs[ptr[qv] : ptr[qv + 1]]
-        members = [(w, w // width) for w in around if w < end and is_p[w % width]]
-        if len(members) != 3:
-            raise RoleMapError(
-                f"clause vertex {qv} has {len(members)} variable neighbours, expected 3"
-            )
-        out.append(members)
-    return out
+    g = artifact.graph
+    qv = first + len(clause_template) * np.arange(artifact.n_clauses)
+    lo, sizes = g.indptr[qv], g.indptr[qv + 1] - g.indptr[qv]
+    clause = np.repeat(np.arange(len(qv)), sizes)
+    w = g.nbrs[lo[clause] + np.arange(len(clause)) - (np.cumsum(sizes) - sizes)[clause]]
+    keep = (w < end) & is_p[w % width]
+    counts = np.bincount(clause[keep], minlength=len(qv))
+    if (counts != 3).any():
+        j = (counts != 3).argmax()
+        raise RoleMapError(f"clause vertex {qv[j]} has {counts[j]} variable neighbours, expected 3")
+    return (w[keep] // width).reshape(-1, 3)
 
 
-def assignment_to_partition(
-    artifact: ReductionArtifact, assignment: Sequence[int]
-) -> TwoPartition:
+def assignment_to_partition(artifact: ReductionArtifact, assignment: Sequence[int]) -> TwoPartition:
     """Lift a satisfying assignment to a partition valid in the artifact's
     mode, checked against the checker before it is returned.
 
@@ -339,33 +354,29 @@ def assignment_to_partition(
         raise ValueError(f"assignment has {len(assignment)} entries for n={artifact.n_vars}")
     if not set(assignment) <= {0, 1}:
         raise ValueError("assignment entries must be 0 or 1")
-    a = assignment
-    blocks, _ = _blocks(artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r)
-    clause_pvars = _clause_pvars(artifact, blocks)
-    for j, pvars in enumerate(clause_pvars):
-        if len({a[var] for _, var in pvars}) == 1:
-            raise UnsatAssignmentError(f"clause {j} is monochrome under the assignment")
-    # 1 where the clause's three variables sum to -1 under phi_star: the
-    # label that cancels the clause's surplus
-    cancel = [int(sum(phi_star(a[var]) for _, var in pvars) < 0) for pvars in clause_pvars]
-    rules = REDUCTIONS[artifact.name].rules(a, cancel, clause_pvars)
-    labels = []
-    for _, template, count in blocks:
-        slots = [(rules[tag], rest) for tag, rest in template]
-        labels += [rule(i, *rest) for i in range(count) for rule, rest in slots]
-    partition = TwoPartition(tuple(labels))
+    a = np.array(assignment, dtype=np.uint8)
+    blocks, order = _blocks(artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r)
+    clause_vars = _clause_pvars(artifact, blocks)
+    values = a[clause_vars]
+    monochrome = np.flatnonzero(values.min(axis=1) == values.max(axis=1))
+    if len(monochrome):
+        raise UnsatAssignmentError(f"clause {monochrome[0]} is monochrome under the assignment")
+    # 1 where at most one variable is 1 (phi_star sum -1): the label that cancels it
+    cancel = (values.sum(axis=1) < 2).astype(np.uint8)
+    rules = REDUCTIONS[artifact.name].rules(a, cancel, clause_vars)
+    labels = np.empty(order, dtype=np.uint8)
+    for first, template, count in blocks:
+        copies = np.arange(count)
+        for s, (tag, rest) in enumerate(template):
+            labels[first + s : first + len(template) * count : len(template)] = rules[tag](copies, *rest)
+    partition = TwoPartition(tuple(labels.tolist()))
     violations = check(artifact.graph, partition, artifact.mode)
     if violations:
-        raise RoleMapError(
-            f"lifted partition violates balance at {violations}: "
-            "the graph does not match its role map"
-        )
+        raise RoleMapError(f"lifted partition violates balance at {violations}: {_MISMATCH}")
     return partition
 
 
-def partition_to_assignment(
-    artifact: ReductionArtifact, partition: TwoPartition
-) -> tuple[int, ...]:
+def partition_to_assignment(artifact: ReductionArtifact, partition: TwoPartition) -> tuple[int, ...]:
     """Read an assignment off the input vertices of every variable.
 
     Raises InvalidPartitionError when the partition fails the checker.  On
@@ -377,56 +388,54 @@ def partition_to_assignment(
     violations = check(artifact.graph, partition, artifact.mode)
     if violations:
         raise InvalidPartitionError(f"partition violates balance at {violations}")
-    labels = partition.labels
     blocks, _ = _blocks(artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r)
-    _, inputs, _ = blocks[0]
-    slots = [s for s, (tag, _) in enumerate(inputs) if tag == "p"]
-    assignment = []
-    for i in range(artifact.n_vars):
-        values = {labels[len(inputs) * i + s] for s in slots}
-        if len(values) != 1:
-            raise RoleMapError(
-                f"the inputs of variable {i} disagree: the graph does not match its role map"
-            )
-        assignment.append(values.pop())
-    for j, pvars in enumerate(_clause_pvars(artifact, blocks)):
-        if len({assignment[var] for _, var in pvars}) != 2:
-            raise RoleMapError(
-                f"clause {j} is monochrome: the graph does not match its role map"
-            )
-    return tuple(assignment)
+    _, template, _ = blocks[0]
+    slots = [s for s, (tag, _) in enumerate(template) if tag == "p"]
+    n, width = artifact.n_vars, len(template)
+    # row i: the labels of variable i's inputs, its copy's p slots in block 0
+    inputs = np.frombuffer(bytes(partition.labels), dtype=np.uint8)[: width * n].reshape(n, width)[:, slots]
+    disagree = np.flatnonzero((inputs != inputs[:, :1]).any(axis=1))
+    if len(disagree):
+        raise RoleMapError(f"the inputs of variable {disagree[0]} disagree: {_MISMATCH}")
+    values = inputs[:, 0][_clause_pvars(artifact, blocks)]
+    monochrome = np.flatnonzero(values.min(axis=1) == values.max(axis=1))
+    if len(monochrome):
+        raise RoleMapError(f"clause {monochrome[0]} is monochrome: {_MISMATCH}")
+    return tuple(inputs[:, 0].tolist())
 
 
-_HEADER_RE = re.compile(r"^reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)$")
+# The header line, ended where str.splitlines ends a line of ASCII text
+_HEADER_RE = re.compile(r"reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)(?=[\n\r\x0b\x0c\x1c-\x1e]|\Z)")
+
+
+def artifact_paths(base: Union[str, Path]) -> tuple[Path, Path]:
+    """The artifact's files <base>.graph and <base>.roles."""
+    base = Path(base)
+    return base.with_name(base.name + ".graph"), base.with_name(base.name + ".roles")
 
 
 def write_artifact(artifact: ReductionArtifact, base: Union[str, Path]) -> tuple[Path, Path]:
     """Write <base>.graph (canonical edge list) and <base>.roles sidecar."""
-    base = Path(base)
-    graph_path = base.with_name(base.name + ".graph")
-    roles_path = base.with_name(base.name + ".roles")
+    graph_path, roles_path = artifact_paths(base)
     graph_path.write_text(serialize_graph(artifact.graph), encoding="ascii")
-    header = (
-        f"reduction={artifact.name} mode={artifact.mode} "
-        f"n={artifact.n_vars} k={artifact.n_clauses} r={artifact.r}"
-    )
-    records = _records(_blocks(artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r)[0])
-    roles_path.write_text("\n".join([header, *records]) + "\n", encoding="ascii")
+    name, n, k, r = artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r
+    header = f"reduction={name} mode={artifact.mode} n={n} k={k} r={r}\n"
+    roles_path.write_text(header + _records(_blocks(name, n, k, r)[0]), encoding="ascii")
     return graph_path, roles_path
 
 
 def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
     """Read <base>.graph and <base>.roles.  The header fixes every record,
-    so the records must be exactly those write_artifact writes; they are
-    compared with the header's layout, not parsed."""
-    base = Path(base)
-    graph = parse_graph(base.with_name(base.name + ".graph").read_text(encoding="ascii"))
-    lines = base.with_name(base.name + ".roles").read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise RoleMapError("empty role map")
-    m = _HEADER_RE.match(lines[0])
+    so the lines must be exactly those write_artifact writes, as
+    str.splitlines reads them; the text is compared with the body the
+    header gives, as a whole and line by line only when that differs."""
+    graph_path, roles_path = artifact_paths(base)
+    graph = parse_graph(graph_path.read_text(encoding="ascii"))
+    text = roles_path.read_text(encoding="ascii")
+    m = _HEADER_RE.match(text)
     if not m:
-        raise RoleMapError(f"bad role-map header: {lines[0]!r}")
+        lines = text.splitlines()
+        raise RoleMapError(f"bad role-map header: {lines[0]!r}" if lines else "empty role map")
     name, mode = m.group(1, 2)
     n, k, r = map(int, m.group(3, 4, 5))
     if name not in REDUCTIONS:
@@ -442,13 +451,12 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
     blocks, order = _blocks(name, n, k, r)
     if order != graph.n:
         raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")
-    expected, records = _records(blocks), lines[1:]
-    if records != expected:
-        i = next(
-            (i for i, (a, b) in enumerate(zip(records, expected)) if a != b),
-            min(len(records), len(expected)),
-        )
-        want = repr(expected[i]) if i < len(expected) else "end of file"
-        found = repr(records[i]) if i < len(records) else "end of file"
-        raise RoleMapError(f"line {i + 2}: expected {want}, found {found}")
+    body = _records(blocks)
+    if text[m.end() :] != "\n" + body:  # then line by line, as str.splitlines reads the text
+        got, want = text.splitlines()[1:], body.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        if i < max(len(got), len(want)):
+            expected = repr(want[i]) if i < len(want) else "end of file"
+            found = repr(got[i]) if i < len(got) else "end of file"
+            raise RoleMapError(f"line {i + 2}: expected {expected}, found {found}")
     return ReductionArtifact(name, mode, graph, n, k, r)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,10 +27,10 @@ from lb2p.biregular import (
     kk1_factor,
     validate_2odd_biregular,
 )
-from lb2p.gadgets import gadget_forcing
+from lb2p.gadgets import gadget_f4, gadget_forcing
 from lb2p.graphs import bfs_distances, connected_components
-from lb2p.nae import NaeInstance
-from lb2p.reductions import REDUCTIONS, UnsatAssignmentError
+from lb2p.nae import NaeInstance, occurrence_slots
+from lb2p.reductions import REDUCTIONS, RoleMapError, UnsatAssignmentError
 
 
 def cycle(n: int) -> Graph:
@@ -420,6 +423,105 @@ def reference_roles(art) -> list[tuple[str, tuple[int, ...]]]:
     return roles
 
 
+def reference_reduce(name: str, inst: NaeInstance, r: int = 1) -> Graph:
+    """The graph of each reduction built edge by edge in Python, as the
+    constructors did before they became array arithmetic; the oracle of
+    ``reduce_by_name(name, inst, r).graph``."""
+    n, k = inst.n, inst.k
+    members = list(zip(inst.clauses, occurrence_slots(inst)))
+    edges = []
+    if name == "bireg":
+        for j, clause in enumerate(inst.clauses):
+            edges += [(var, n + 2 * r * j + l) for var in clause for l in range(2 * r)]
+        return Graph.from_edges(n + 2 * r * k, edges)
+    if name == "even":
+        p = lambda i, t: 4 * i + (t - 1)
+        u = lambda i, j: 4 * n + 12 * i + (j - 1)
+        q = lambda j, l: 16 * n + 2 * j + (l - 1)
+        v = lambda j: 16 * n + 2 * k + j
+        for i in range(n):
+            for l in range(1, 5):
+                edges.append((p(i, l), u(i, 3 * l - 2)))
+                edges.append((u(i, 3 * l - 2), u(i, 3 * l - 1)))
+                edges.append((u(i, 3 * l - 1), u(i, 3 * l)))
+                edges.append((u(i, 3 * l), p(i, l % 4 + 1)))
+        for j, (clause, slots) in enumerate(members):
+            for var, t in zip(clause, slots):
+                edges.append((p(var, t), q(j, 1)))
+                edges.append((p(var, t), q(j, 2)))
+            edges.append((q(j, 1), v(j)))
+            edges.append((q(j, 2), v(j)))
+        return Graph.from_edges(16 * n + 3 * k, edges)
+    gamma, f4 = gadget_forcing(), gadget_f4()
+    edges = [(30 * i + a, 30 * i + b) for i in range(n) for a, b in gamma.graph.edges()]
+    for j, (clause, slots) in enumerate(members):
+        f4_base = 30 * n + k + f4.graph.n * j
+        for t, (var, slot) in enumerate(zip(clause, slots)):
+            p_vertex = 30 * var + gamma.inputs[slot - 1]
+            edges.append((p_vertex, 30 * n + j))
+            if name == "odd":
+                edges.append((f4_base + 3 * t, p_vertex))
+        if name == "odd":
+            edges.extend((f4_base + a, f4_base + b) for a, b in f4.graph.edges())
+    return Graph.from_edges(30 * n + (10 * k if name == "odd" else k), edges)
+
+
+def reference_artifact_text(art) -> tuple[str, str]:
+    """The .graph and .roles text of an artifact, formatted line by line
+    from its edges and ``reference_roles``."""
+    g = art.graph
+    graph_text = "".join([f"{g.n} {g.m}\n", *(f"{u} {v}\n" for u, v in g.edges())])
+    return graph_text, _reference_roles_text(art.name, art.mode, art.n_vars, art.n_clauses, art.r)
+
+
+@lru_cache(maxsize=None)
+def _reference_roles_text(name: str, mode: str, n: int, k: int, r: int) -> str:
+    """The .roles text: the header, then one record per ``reference_roles`` entry."""
+    roles = reference_roles(SimpleNamespace(name=name, n_vars=n, n_clauses=k, r=r))
+    records = (" ".join([str(v), tag, *map(str, idx)]) + "\n" for v, (tag, idx) in enumerate(roles))
+    return "".join([f"reduction={name} mode={mode} n={n} k={k} r={r}\n", *records])
+
+
+_REFERENCE_HEADER_RE = re.compile(r"^reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)$")
+
+
+def reference_read_roles(text: str, graph_n: int) -> None:
+    """The role-map checks of ``read_artifact`` made line by line on
+    ``text.splitlines()``, for a graph of ``graph_n`` vertices, with the
+    records spelled out by ``reference_roles``; the oracle of its whole-text
+    compare.  Returns when the text is accepted, else raises the same
+    ``RoleMapError``."""
+    lines = text.splitlines()
+    if not lines:
+        raise RoleMapError("empty role map")
+    m = _REFERENCE_HEADER_RE.match(lines[0])
+    if not m:
+        raise RoleMapError(f"bad role-map header: {lines[0]!r}")
+    name, mode = m.group(1, 2)
+    n, k, r = map(int, m.group(3, 4, 5))
+    modes = {"bireg": "open", "even": "open", "subcubic": "closed", "odd": "closed"}
+    if name not in modes:
+        raise RoleMapError(f"unknown reduction {name!r}")
+    if mode != modes[name]:
+        raise RoleMapError(f"reduction {name} has mode {modes[name]}, not {mode}")
+    if (r > 0) != (name == "bireg"):
+        raise RoleMapError(f"r={r}: r is at least 1 for bireg and 0 otherwise")
+    if r > graph_n:
+        raise RoleMapError(f"r={r} exceeds the graph's {graph_n} vertices")
+    order = {"bireg": n + 2 * r * k, "even": 16 * n + 3 * k, "subcubic": 30 * n + k, "odd": 30 * n + 10 * k}[name]
+    if order != graph_n:
+        raise RoleMapError(f"the header gives {order} vertices, the graph has {graph_n}")
+    records, expected = lines[1:], _reference_roles_text(name, mode, n, k, r).splitlines()[1:]
+    if records != expected:
+        i = next(
+            (i for i, (a, b) in enumerate(zip(records, expected)) if a != b),
+            min(len(records), len(expected)),
+        )
+        want = repr(expected[i]) if i < len(expected) else "end of file"
+        found = repr(records[i]) if i < len(records) else "end of file"
+        raise RoleMapError(f"line {i + 2}: expected {want}, found {found}")
+
+
 def reference_role_index(art) -> dict[tuple[str, tuple[int, ...]], int]:
     """The vertex of every role: ``reference_roles`` inverted."""
     return {role: v for v, role in enumerate(reference_roles(art))}
@@ -436,14 +538,19 @@ def _reference_clause_pvars(art, roles, index) -> list[list[tuple[int, int]]]:
 
 def reference_lift(art, assignment) -> TwoPartition:
     """The lift through the per-vertex role tuples: each vertex's label is
-    its role's rule; the oracle of ``assignment_to_partition``."""
+    its role's rule, called once per vertex with scalar indices; the oracle
+    of ``assignment_to_partition``.  The rules take the arrays the lift
+    passes: the assignment (uint8), ``cancel`` per clause and the (k, 3)
+    clause variables."""
     roles = reference_roles(art)
     clause_pvars = _reference_clause_pvars(art, roles, reference_role_index(art))
     if any(len({assignment[var] for _, var in pvars}) == 1 for pvars in clause_pvars):
         raise UnsatAssignmentError("some clause is monochrome under the assignment")
     cancel = [int(sum(2 * assignment[var] - 1 for _, var in pvars) < 0) for pvars in clause_pvars]
-    rules = REDUCTIONS[art.name].rules(assignment, cancel, clause_pvars)
-    return TwoPartition(tuple(rules[tag](*idx) for tag, idx in roles))
+    clause_vars = np.array([[var for _, var in pvars] for pvars in clause_pvars], dtype=np.int64)
+    a = np.array(assignment, dtype=np.uint8)
+    rules = REDUCTIONS[art.name].rules(a, np.array(cancel, dtype=np.uint8), clause_vars.reshape(-1, 3))
+    return TwoPartition(tuple(int(rules[tag](*idx)) for tag, idx in roles))
 
 
 def reference_extract(art, partition: TwoPartition) -> tuple[int, ...]:

@@ -19,8 +19,11 @@ from helpers import (
     CANONICAL_N3,
     planted_nae_instance,
     random_nae_instance,
+    reference_artifact_text,
     reference_extract,
     reference_lift,
+    reference_read_roles,
+    reference_reduce,
     reference_role_index,
     reference_roles,
 )
@@ -258,27 +261,33 @@ def test_lift_under_optimize_flag(tmp_path, edit):
 
 
 def test_extract_rejects_graph_with_moved_input(tmp_path, capsys):
-    """Swap a variable's first input with a gadget vertex of the other label
-    in both the graph and a valid partition: the partition stays valid on
-    the edited graph, but the inputs the role map names now disagree."""
+    """Swap a variable's input with a gadget vertex of the other label in
+    both the graph and a valid partition: the partition stays valid on the
+    edited graph, but the inputs the role map names now disagree.  With two
+    variables moved (2 at its second input, 1 at its fourth), the message
+    names the lower variable."""
     art = reduce_by_name("even", parse_nae(CANONICAL_N3))
-    labels = list(assignment_to_partition(art, (0, 0, 1)).labels)
-    a = reference_role_index(art)[("p", (0, 1))]
-    b = next(v for v, (tag, _) in enumerate(reference_roles(art)) if tag == "g" and labels[v] != labels[a])
-    swap = {a: b, b: a}
-    moved = Graph.from_edges(art.graph.n, [(swap.get(u, u), swap.get(v, v)) for u, v in art.graph.edges()])
-    labels[a], labels[b] = labels[b], labels[a]
-    partition = TwoPartition(tuple(labels))
-    assert not check(moved, partition, "open")
-    base = tmp_path / "moved"
-    write_artifact(art, base)
-    Path(f"{base}.graph").write_text(serialize_graph(moved))
-    with pytest.raises(RoleMapError, match="inputs of variable 0 disagree"):
-        partition_to_assignment(read_artifact(base), partition)
-    (tmp_path / "part").write_text(partition.to_line() + "\n")
-    assert main(["extract", str(base), str(tmp_path / "part")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
+    index, roles = reference_role_index(art), reference_roles(art)
+    for moves, first in (([(0, 1)], 0), ([(2, 2), (1, 4)], 1)):
+        labels = list(assignment_to_partition(art, (0, 0, 1)).labels)
+        swap = {}
+        for i, t in moves:
+            a = index[("p", (i, t))]
+            b = next(v for v, (tag, _) in enumerate(roles) if tag == "g" and labels[v] != labels[a] and v not in swap)
+            swap.update({a: b, b: a})
+            labels[a], labels[b] = labels[b], labels[a]
+        moved = Graph.from_edges(art.graph.n, [(swap.get(u, u), swap.get(v, v)) for u, v in art.graph.edges()])
+        partition = TwoPartition(tuple(labels))
+        assert not check(moved, partition, "open")
+        base = tmp_path / "moved"
+        write_artifact(art, base)
+        Path(f"{base}.graph").write_text(serialize_graph(moved))
+        with pytest.raises(RoleMapError, match=f"^the inputs of variable {first} disagree"):
+            partition_to_assignment(read_artifact(base), partition)
+        (tmp_path / "part").write_text(partition.to_line() + "\n")
+        assert main(["extract", str(base), str(tmp_path / "part")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("name", ALL_REDUCTIONS)
@@ -300,5 +309,223 @@ def test_lift_and_extract_match_role_tuple_route(name):
             monochrome = (0,) * n
             with pytest.raises(UnsatAssignmentError):
                 reference_lift(art, monochrome)
-            with pytest.raises(UnsatAssignmentError):
+            with pytest.raises(UnsatAssignmentError, match="^clause 0 is monochrome under the assignment$"):
                 assignment_to_partition(art, monochrome)
+            # the planted assignment with two variables flipped: the first
+            # of its monochrome clauses is named
+            a = list(planted)
+            while len(mono := [j for j, c in enumerate(inst.clauses) if len({a[x] for x in c}) == 1]) < 2:
+                a[rng.randrange(n)] ^= 1
+            with pytest.raises(UnsatAssignmentError, match=f"^clause {mono[0]} is monochrome under the assignment$"):
+                assignment_to_partition(art, tuple(a))
+
+
+# (instance, bireg r): CANONICAL_N3, with its repeated clause, at every r,
+# and 7 seeded instances per n = 3, 6, ..., 96, r cycling through 1, 2, 3
+INSTANCES = [(parse_nae(CANONICAL_N3), r) for r in (1, 2, 3)] + [
+    (random_nae_instance(n, random.Random(f"oracle:{n}:{seed}")), 1 + (n // 3 + seed) % 3)
+    for n in range(3, 97, 3)
+    for seed in range(7)
+]
+
+
+def test_constructors_match_per_edge_reference(tmp_path):
+    """The array constructors build the same graph as the per-edge Python
+    constructors, and write the same .graph and .roles bytes as a line-by-line
+    formatter, on 227 instances of 3 to 96 variables for every target, bireg
+    at r = 1, 2 and 3 for every size."""
+    assert len(INSTANCES) >= 200
+    for inst, bireg_r in INSTANCES:
+        for name in ALL_REDUCTIONS:
+            art = reduce_by_name(name, inst, bireg_r)
+            assert art.graph == reference_reduce(name, inst, bireg_r), (name, inst.n, bireg_r)
+            graph_path, roles_path = write_artifact(art, tmp_path / "art")
+            graph_text, roles_text = reference_artifact_text(art)
+            assert graph_path.read_bytes() == graph_text.encode("ascii")
+            assert roles_path.read_bytes() == roles_text.encode("ascii")
+
+
+def _edit_line(edit):
+    """An edit of the file's lines and of the separator after each (all
+    newlines before the edit) at line i (0 is the header), then the text."""
+
+    def apply(lines, seps, i):
+        edit(lines, seps, i)
+        return "".join(line + sep for line, sep in zip(lines, seps))
+
+    return apply
+
+
+def _insert(lines, seps, i, line):
+    lines.insert(i, line)
+    seps.insert(i, "\n")
+
+
+def _delete(lines, seps, i):
+    del lines[i]
+    del seps[i]
+
+
+def _swap(lines, seps, i):
+    j = i + 1 if i + 1 < len(lines) else i - 1
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _plus_one(lines, seps, i):
+    head, _, rest = lines[i].partition(" ")
+    lines[i] = f"{int(head) + 1} {rest}" if head.isdigit() else head + "1 " + rest
+
+
+ROLE_EDITS = {
+    "leading-zero": _edit_line(lambda L, S, i: L.__setitem__(i, "0" + L[i])),
+    "plus-sign": _edit_line(lambda L, S, i: L.__setitem__(i, "+" + L[i])),
+    "plus-one": _edit_line(_plus_one),
+    "double-space": _edit_line(lambda L, S, i: L.__setitem__(i, L[i].replace(" ", "  ", 1))),
+    "trailing-space": _edit_line(lambda L, S, i: L.__setitem__(i, L[i] + " ")),
+    "leading-space": _edit_line(lambda L, S, i: L.__setitem__(i, " " + L[i])),
+    "tab": _edit_line(lambda L, S, i: L.__setitem__(i, L[i].replace(" ", "\t", 1))),
+    "zero-index": _edit_line(lambda L, S, i: L.__setitem__(i, L[i].replace(" ", " 0", 1))),
+    "crlf": _edit_line(lambda L, S, i: S.__setitem__(i, "\r\n")),
+    "cr": _edit_line(lambda L, S, i: S.__setitem__(i, "\r")),
+    "crlf-everywhere": _edit_line(lambda L, S, i: S.__setitem__(slice(None), ["\r\n"] * len(S))),
+    "formfeed-separator": _edit_line(lambda L, S, i: S.__setitem__(i, "\x0c")),
+    "vtab-separator": _edit_line(lambda L, S, i: S.__setitem__(i, "\x0b")),
+    "fs-separator": _edit_line(lambda L, S, i: S.__setitem__(i, "\x1c")),
+    "rs-separator": _edit_line(lambda L, S, i: S.__setitem__(i, "\x1e")),
+    "formfeed-in-line": _edit_line(lambda L, S, i: L.__setitem__(i, L[i] + "\x0c")),
+    "two-newlines": _edit_line(lambda L, S, i: S.__setitem__(i, "\n\n")),
+    "missing-final-newline": _edit_line(lambda L, S, i: S.__setitem__(-1, "")),
+    "space-after-final-newline": _edit_line(lambda L, S, i: S.__setitem__(-1, "\n ")),
+    "trailing-space-no-final-newline": _edit_line(lambda L, S, i: (L.__setitem__(i, L[i] + " "), S.__setitem__(-1, ""))),
+    "dropped-line": _edit_line(_delete),
+    "duplicated-line": _edit_line(lambda L, S, i: _insert(L, S, i, L[i])),
+    "swapped-lines": _edit_line(_swap),
+    "trailing-blank-line": _edit_line(lambda L, S, i: _insert(L, S, len(L), "")),
+    "leading-blank-line": _edit_line(lambda L, S, i: _insert(L, S, 0, "")),
+    "joined-lines": _edit_line(lambda L, S, i: S.__setitem__(i, "")),
+    "empty": lambda lines, seps, i: "",
+}
+
+
+def _read_outcome(read, *args):
+    try:
+        read(*args)
+    except RoleMapError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("edit", sorted(ROLE_EDITS))
+def test_read_artifact_accepts_exactly_what_the_line_compare_accepts(tmp_path, edit):
+    """Each edit of a written role map, at the header, the first, a middle
+    and the last record, is accepted by read_artifact exactly when the
+    line-by-line reference accepts it; otherwise both raise the same
+    RoleMapError message."""
+    for name, r in (("bireg", 1), ("bireg", 2), ("even", 0), ("subcubic", 0), ("odd", 0)):
+        art = reduce_by_name(name, parse_nae(CANONICAL_N3), max(r, 1))
+        base = tmp_path / name
+        _, roles_path = write_artifact(art, base)
+        lines = roles_path.read_text().splitlines()
+        for i in sorted({0, 1, len(lines) // 2, len(lines) - 1}):
+            text = ROLE_EDITS[edit](list(lines), ["\n"] * len(lines), i)
+            roles_path.write_bytes(text.encode("ascii"))
+            read_text = roles_path.read_text(encoding="ascii")
+            want = _read_outcome(reference_read_roles, read_text, art.graph.n)
+            assert _read_outcome(read_artifact, base) == want, (name, r, i)
+
+
+def test_read_artifact_matches_the_line_compare_on_random_edits(tmp_path):
+    """2000 seeded one-character edits (insert, delete or replace, from
+    digits, tags, spaces and every ASCII line boundary) of written role
+    maps: read_artifact accepts exactly what the reference accepts, and
+    otherwise raises the same message."""
+    rng = random.Random(2814)
+    alphabet = "0123456789 pqgvyzb+-\t\n\r\x0b\x0c\x1c\x1d\x1e"
+    accepted = 0
+    for name in ALL_REDUCTIONS:
+        art = reduce_by_name(name, random_nae_instance(6, rng))
+        base = tmp_path / name
+        _, roles_path = write_artifact(art, base)
+        clean = roles_path.read_text()
+        for _ in range(500):
+            at = rng.randrange(len(clean) + 1)
+            kind = rng.randrange(3)
+            char = rng.choice(alphabet)
+            text = clean[:at] + (char if kind != 1 else "") + clean[at + (kind != 0) :]
+            roles_path.write_bytes(text.encode("ascii"))
+            want = _read_outcome(reference_read_roles, roles_path.read_text(encoding="ascii"), art.graph.n)
+            assert _read_outcome(read_artifact, base) == want, (name, at, kind, char)
+            accepted += want == "accepted"
+    assert 0 < accepted < 2000
+
+
+def _bireg_with_monochrome_clauses(rng):
+    """A bireg (r = 1) artifact, an assignment with two monochrome clauses
+    j1 < j2, and the lift-rule partition of that assignment (p labels from
+    it, q(j, l) = l % 2).  The graph is edited so that partition is valid:
+    each clause vertex of a monochrome clause gains two clause-vertex
+    neighbours of the label it lacks, taken from clauses whose own balance
+    the new edge brings to 0."""
+    inst, planted = planted_nae_instance(24, rng)
+    art = reduce_by_name("bireg", inst, 1)
+    a = list(planted)
+    while len(mono := [j for j, c in enumerate(inst.clauses) if len({a[x] for x in c}) == 1]) != 2:
+        a = list(planted)
+        for x in rng.sample(range(inst.n), 2):
+            a[x] ^= 1
+    index = reference_role_index(art)
+    labels = [a[i] for i in range(inst.n)] + [l % 2 for _ in range(inst.k) for l in (1, 2)]
+    sums = {j: sum(2 * a[x] - 1 for x in c) for j, c in enumerate(inst.clauses)}
+    free = {s: [j for j in sums if sums[j] == s] for s in (-1, 1)}
+    edges = art.graph.edges()
+    for j in mono:
+        value = a[inst.clauses[j][0]]
+        # all 0: join label-1 helpers q(h, 1); all 1: label-0 helpers q(h, 2)
+        slot = 1 if value == 0 else 2
+        for l, sign in ((1, -1), (2, 1)):
+            for _ in range(2):
+                h = free[sign].pop()
+                edges.append((index[("q", (j, l))], index[("q", (h, slot))]))
+    graph = Graph.from_edges(art.graph.n, edges)
+    partition = TwoPartition(tuple(labels))
+    assert not check(graph, partition, "open")
+    return art, graph, tuple(a), partition, mono
+
+
+def test_extract_names_the_first_monochrome_clause(tmp_path):
+    """On a graph edited so that a partition is valid although two clauses
+    read monochrome, the extract names the first of them, and so does the
+    lift of the assignment behind that partition."""
+    rng = random.Random(41)
+    for _ in range(5):
+        art, graph, a, partition, (j1, j2) = _bireg_with_monochrome_clauses(rng)
+        base = tmp_path / "mono"
+        write_artifact(art, base)
+        Path(f"{base}.graph").write_text(serialize_graph(graph))
+        edited = read_artifact(base)
+        with pytest.raises(RoleMapError, match=f"^clause {j1} is monochrome: the graph does not match"):
+            partition_to_assignment(edited, partition)
+        with pytest.raises(UnsatAssignmentError, match=f"^clause {j1} is monochrome under the assignment$"):
+            assignment_to_partition(edited, a)
+
+
+@pytest.mark.parametrize("counts", [(2, 4), (4, 2)])
+def test_clause_vertex_count_names_the_first_clause(tmp_path, counts):
+    """Two clause vertices with the wrong number of variable neighbours (an
+    edge to a variable removed at one, added at the other): the lift names
+    the first clause vertex and its count."""
+    inst = random_nae_instance(12, random.Random(17))
+    art = reduce_by_name("bireg", inst, 1)
+    index = reference_role_index(art)
+    edges = set(art.graph.edges())
+    q = [index[("q", (j, 1))] for j in (3, 7)]
+    for qv, j, count in zip(q, (3, 7), counts):
+        if count == 2:
+            edges.discard((inst.clauses[j][0], qv))
+        else:
+            edges.add((next(x for x in range(inst.n) if x not in inst.clauses[j]), qv))
+    base = tmp_path / "count"
+    write_artifact(art, base)
+    Path(f"{base}.graph").write_text(serialize_graph(Graph.from_edges(art.graph.n, sorted(edges))))
+    with pytest.raises(RoleMapError, match=rf"^clause vertex {q[0]} has {counts[0]} variable neighbours, expected 3$"):
+        assignment_to_partition(read_artifact(base), (0, 1) * 6)

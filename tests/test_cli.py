@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -293,6 +296,53 @@ def test_reduce_refuses_to_overwrite_its_formula(tmp_path, capsys, suffix, out):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert formula.read_text() == CANONICAL_N3
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([formula.name, "sub"])
+
+
+@pytest.mark.parametrize("target", ["f.graph", "f.roles", "asg", "sub/../f.graph"])
+def test_lift_refuses_to_overwrite_its_inputs(tmp_path, capsys, target):
+    """``lift --out`` naming the artifact's graph, its role map or the
+    assignment, also through another directory, exits 2 before anything is
+    written, and the artifact still extracts."""
+    (tmp_path / "f.nae").write_text(CANONICAL_N3)
+    (tmp_path / "asg").write_text("001\n")
+    (tmp_path / "sub").mkdir()
+    assert main(["reduce", "--target", "even", str(tmp_path / "f.nae")]) == 0
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    base, out = str(tmp_path / "f"), str(tmp_path / target)
+    assert main(["lift", "--out", out, base, str(tmp_path / "asg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "would overwrite" in captured.err
+    assert "Traceback" not in captured.err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+    assert main(["lift", "--out", str(tmp_path / "part"), base, str(tmp_path / "asg")]) == 0
+    capsys.readouterr()
+    assert main(["extract", base, str(tmp_path / "part")]) == 0
+    assert capsys.readouterr().out == "001\n"
+
+
+def test_cli_import_loads_only_lb2p_and_numpy():
+    """``import lb2p.cli`` in a fresh process loads no third-party module
+    besides numpy, and not ``json`` (imported only by ``solve --stats``):
+    the benchmark's setup_s is mostly this import."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lb2p.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)), 'json' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['lb2p', 'numpy'] False\n"
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "forcing", "f4"])
