@@ -11,7 +11,6 @@ from .biregular import (
     Certificate,
     CycleCertificate,
     NotApplicable,
-    ReducedMultigraph,
     Witness,
     build_reduced,
     has_bad_cycle,
@@ -34,7 +33,6 @@ from .graphs import (
     ClassReport,
     Graph,
     GraphFormatError,
-    MultiGraph,
     bfs_distances,
     bipartition,
     classify,

@@ -24,7 +24,9 @@ Every step of ``solve_biregular`` is linear in the size of the graph;
 loading the graph (``parse_graph``) adds one O(m log m) numpy sort.  The
 [k,k+1]-factor (Petersen's Euler-circuit argument, ``kk1_factor``) walks
 Euler circuits of the contraction and keeps alternate edges.  No step
-recurses.
+recurses.  The contraction is two arrays (``build_reduced``): its edge
+ends, as ranks on the high side, and the degree-2 vertex behind each edge;
+``kk1_factor`` validates the ends once and returns the kept edge indices.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from typing import Union
 import numpy as np
 
 from .balance import TwoPartition, check
-from .graphs import Graph, MultiGraph
+from .graphs import Graph
 # Not called here: perfbench/tracer.py wraps these two by their names in this module.
 from .graphs import bfs_distances, connected_components  # noqa: F401
 
 __all__ = [
-    "ReducedMultigraph",
     "CycleCertificate",
     "Witness",
     "Certificate",
@@ -53,19 +54,6 @@ __all__ = [
     "has_bad_cycle",
     "extract_cycle_2mod4",
 ]
-
-
-@dataclass(frozen=True)
-class ReducedMultigraph:
-    """Multigraph on the high-degree side; one edge per degree-2 vertex.
-
-    ``y_vertices[i]`` is the original vertex behind local index i and
-    ``x_of_edge[e]`` the degree-2 vertex contracted into edge e.
-    """
-
-    graph: MultiGraph
-    y_vertices: tuple[int, ...]
-    x_of_edge: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -126,54 +114,58 @@ def validate_2odd_biregular(g: Graph) -> Union[int, NotApplicable]:
     return (b - 1) // 2
 
 
-def build_reduced(g: Graph, k: int) -> ReducedMultigraph:
-    """Contract each degree-2 vertex into an edge between its two neighbors,
-    in a graph that ``validate_2odd_biregular`` accepts with this k: its
-    sides are its degree classes, each taken in ascending order."""
+def build_reduced(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Contract each degree-2 vertex of a graph that
+    ``validate_2odd_biregular`` accepts into an edge between its two
+    neighbors: (ends, xs), with ``ends`` the (m, 2) int64 edge ends as
+    ranks on the high side and ``xs[e]`` the degree-2 vertex behind edge e,
+    both sides taken in ascending order."""
     high_side = np.diff(g.indptr) != 2
-    ys = np.flatnonzero(high_side)
-    provenance = np.flatnonzero(~high_side)
-    local = np.zeros(g.n, dtype=np.int64)
-    local[ys] = np.arange(len(ys))
-    first = g.indptr[provenance]
-    ends = local[g.nbrs[np.stack((first, first + 1), axis=1)]].tolist()
-    mg = MultiGraph(len(ys), tuple(map(tuple, ends)))
-    r = 2 * k + 1
-    if any(d != r for d in mg.degrees()):
-        raise AssertionError("reduced multigraph is not regular")
-    return ReducedMultigraph(mg, tuple(ys.tolist()), tuple(provenance.tolist()))
+    xs = np.flatnonzero(~high_side)
+    rank = np.cumsum(high_side) - 1
+    first = g.indptr[xs]
+    return rank[g.nbrs[np.stack((first, first + 1), axis=1)]], xs
 
 
-def kk1_factor(m: MultiGraph) -> frozenset[int]:
-    """The edge indices of a spanning subgraph of an r-regular multigraph
-    (r >= 2) with every degree in [k, k+1], k = r // 2: the factor that
-    ``solve_biregular`` takes of its (2k+1)-regular contraction.
+def kk1_factor(n: int, ends: np.ndarray) -> np.ndarray:
+    """The edge indices, ascending, of a spanning subgraph of an r-regular
+    multigraph (r >= 2) with every degree in [k, k+1], k = r // 2: the
+    factor that ``solve_biregular`` takes of its (2k+1)-regular contraction.
 
-    Alternate edges of Euler circuits (``_round_half_edges``), in time
-    linear in the size of m; their degrees are checked by a raise.
+    The multigraph has vertices 0..n-1 and edge e joining ``ends[e]``, an
+    (m, 2) array: parallel edges are allowed, self-loops are not.  Alternate
+    edges of Euler circuits (``_round_half_edges``), in time linear in its
+    size; their degrees are checked by a raise.
     """
-    if m.n == 0:
+    ends = np.asarray(ends, dtype=np.int64)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError(f"edge ends must have shape (m, 2), got {ends.shape}")
+    out = ((ends < 0) | (ends >= n)).any(axis=1)
+    bad = np.flatnonzero(out | (ends[:, 0] == ends[:, 1]))
+    if bad.size:  # the first bad edge, as the edges come
+        u, v = ends[bad[0]].tolist()
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}" if out[bad[0]] else f"self-loop at vertex {u}")
+    if n == 0:
         raise ValueError("empty multigraph is not r-regular with r >= 2")
-    ends = np.asarray(m.edges, dtype=np.int64).reshape(-1, 2)
-    degs = np.bincount(ends.ravel(), minlength=m.n)
+    degs = np.bincount(ends.ravel(), minlength=n)
     r = int(degs[0])
     if (degs != r).any():
         raise ValueError(f"multigraph is not regular (degrees {np.unique(degs).tolist()})")
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
     k = r // 2
-    kept = _round_half_edges(m)
-    final = np.bincount(ends[np.asarray(kept, dtype=np.int64)].ravel(), minlength=m.n)
+    kept = np.sort(np.asarray(_round_half_edges(ends, degs), dtype=np.int64))
+    final = np.bincount(ends[kept].ravel(), minlength=n)
     if final.min() < k or final.max() > k + 1:
         raise AssertionError(f"factor degrees {np.unique(final).tolist()} leave [{k}, {k + 1}]")
-    return frozenset(kept)
+    return kept
 
 
-def _round_half_edges(m: MultiGraph) -> list[int]:
-    """Every other edge of m along Euler circuits: a vertex of degree d
-    keeps ⌊d/2⌋ or ⌊d/2⌋ + 1 of its edges.
+def _round_half_edges(ends: np.ndarray, degs: np.ndarray) -> list[int]:
+    """Every other edge of the multigraph along Euler circuits: a vertex of
+    degree d keeps ⌊d/2⌋ or ⌊d/2⌋ + 1 of its edges.
 
-    A hub (vertex m.n) is joined to every vertex of odd degree, so all
+    A hub (vertex len(degs)) is joined to every vertex of odd degree, so all
     degrees become even.  Hierholzer's walk covers each component in one
     circuit; alternate edges are kept.  Each pass through a vertex enters
     on one colour and leaves on the other, so a vertex of degree d that
@@ -183,17 +175,17 @@ def _round_half_edges(m: MultiGraph) -> list[int]:
     start vertex keeps d/2 or, on an odd circuit, d/2 + 1.  Linear time
     and memory.
     """
-    hub, size = m.n, len(m.edges)
-    ends = list(m.edges)
-    ends += [(hub, v) for v, d in enumerate(m.degrees()) if d % 2]
+    hub, size = len(degs), len(ends)
+    pairs = ends.tolist()
+    pairs += [(hub, v) for v in np.flatnonzero(degs % 2).tolist()]
     incident: list[list[int]] = [[] for _ in range(hub + 1)]
-    for i, (u, v) in enumerate(ends):
+    for i, (u, v) in enumerate(pairs):
         incident[u].append(i)
         incident[v].append(i)
-    other = [u ^ v for u, v in ends]  # the far end of edge e from v is v ^ other[e]
-    used = bytearray(len(ends))
+    other = [u ^ v for u, v in pairs]  # the far end of edge e from v is v ^ other[e]
+    used = bytearray(len(pairs))
     kept = []
-    for start in chain((hub,), range(m.n)):
+    for start in chain((hub,), range(hub)):
         walk, arrivals = [start], [-1]  # the open walk and the edge into each vertex
         circuit = []  # edges in the order Hierholzer closes them
         while walk:
@@ -352,11 +344,10 @@ def solve_biregular(g: Graph) -> Union[Witness, Certificate, NotApplicable]:
     # Each component's root is its smallest high-side vertex; a high-side
     # vertex at distance 0 (mod 4) from it gets label 1, every other 0.
     # Degree-2 vertices have odd depth and get 1 exactly on factor edges.
-    red = build_reduced(g, va)
-    labels = [1 if d % 4 == 0 else 0 for d in depth]
-    for e in kk1_factor(red.graph):
-        labels[red.x_of_edge[e]] = 1
-    partition = TwoPartition(tuple(labels))
+    ends, xs = build_reduced(g)
+    labels = (np.asarray(depth) % 4 == 0).astype(np.uint8)
+    labels[xs[kk1_factor(g.n - len(xs), ends)]] = 1
+    partition = TwoPartition(tuple(labels.tobytes()))
     violations = check(g, partition, "open")
     if violations:
         raise AssertionError(f"constructed witness failed the checker (violations at {violations})")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -163,6 +164,7 @@ def _cmd_gadget(args) -> int:
     return 1
 
 
+@cache  # built on the first call, then shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lb2p",

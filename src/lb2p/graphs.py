@@ -1,12 +1,11 @@
-"""Graph and multigraph primitives: parsing, class predicates, traversal.
+"""Graph primitives: parsing, class predicates, traversal.
 
 Vertices are dense 0-based indices.  ``Graph`` is simple and undirected, in
 compressed sparse rows: numpy ``indptr`` (n + 1) and ``nbrs``, each vertex's
 neighbours sorted, its only representation.  Degrees, edges and the class
 tests read the arrays in numpy; every traversal here (``bfs_distances``,
 ``connected_components`` and the 2-colouring of ``bipartition`` and
-``classify``) runs on one BFS, ``_reach``.  ``MultiGraph`` keeps a raw edge
-list with parallel edges but no self-loops.  Both are immutable.
+``classify``) runs on one BFS, ``_reach``.  A ``Graph`` is immutable.
 
 ``parse_graph`` scans the document once in numpy, with no Python string per
 line or token; one numpy pass over the endpoints (shared with
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "MAX_VERTICES",
     "Graph",
-    "MultiGraph",
     "Bipartition",
     "ClassReport",
     "GraphFormatError",
@@ -185,25 +183,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         u, v = range(self.n)[u], range(self.n)[v]  # the index rules of ``degree``
         return bool(v in self.nbrs[self.indptr[u] : self.indptr[u + 1]])
-
-
-@dataclass(frozen=True)
-class MultiGraph:
-    """Undirected multigraph: parallel edges allowed, self-loops rejected."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-
-    def degrees(self) -> tuple[int, ...]:
-        ends = np.asarray(self.edges, dtype=np.int64).ravel()
-        return tuple(np.bincount(ends, minlength=self.n).tolist())
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,13 @@ from types import SimpleNamespace
 import numpy as np
 
 import lb2p
-from lb2p import Graph, GraphFormatError, MultiGraph, NotApplicable, TwoPartition
+from lb2p import Graph, GraphFormatError, NotApplicable, TwoPartition
 from lb2p.biregular import (
     Certificate,
-    ReducedMultigraph,
     Witness,
     _check_certificate,
-    build_reduced,
     extract_cycle_2mod4,
     kk1_factor,
-    validate_2odd_biregular,
 )
 from lb2p.gadgets import gadget_f4, gadget_forcing
 from lb2p.graphs import bfs_distances, connected_components
@@ -101,8 +98,9 @@ def with_twins(g: Graph, copies: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, [(perm[u], perm[v]) for u in range(n) for v in adj[u] if u < v])
 
 
-def random_regular_multigraph(n: int, r: int, rng: random.Random, tries: int = 2000) -> MultiGraph:
-    """Configuration model, resampled until the pairing has no self-loops."""
+def random_regular_multigraph(n: int, r: int, rng: random.Random, tries: int = 2000) -> tuple[int, list]:
+    """Configuration model, resampled until the pairing has no self-loops;
+    (n, edges), the edges a list of pairs."""
     if (n * r) % 2:
         raise ValueError("n*r must be even")
     stubs = [v for v in range(n) for _ in range(r)]
@@ -110,15 +108,16 @@ def random_regular_multigraph(n: int, r: int, rng: random.Random, tries: int = 2
         rng.shuffle(stubs)
         pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
         if all(u != v for u, v in pairs):
-            return MultiGraph(n, tuple(pairs))
+            return n, pairs
     raise RuntimeError("failed to sample a loop-free pairing")
 
 
-def subdivide_multigraph(mg: MultiGraph) -> Graph:
-    """The (2,r)-biregular graph of an r-regular multigraph: high side
-    0..n-1, then one degree-2 vertex per edge, in edge order."""
-    edges = [(u, mg.n + i) for i, uv in enumerate(mg.edges) for u in uv]
-    return Graph.from_edges(mg.n + len(mg.edges), edges)
+def subdivide_multigraph(multigraph: tuple[int, list]) -> Graph:
+    """The (2,r)-biregular graph of an r-regular multigraph (n, edges): high
+    side 0..n-1, then one degree-2 vertex per edge, in edge order."""
+    n, pairs = multigraph
+    edges = [(u, n + i) for i, uv in enumerate(pairs) for u in uv]
+    return Graph.from_edges(n + len(pairs), edges)
 
 
 def random_biregular(m: int, b: int, rng: random.Random) -> Graph:
@@ -127,10 +126,11 @@ def random_biregular(m: int, b: int, rng: random.Random) -> Graph:
     return subdivide_multigraph(random_regular_multigraph(m, b, rng))
 
 
-def cycle_union_multigraph(n: int, r: int, rng: random.Random) -> MultiGraph:
-    """A loop-free r-regular multigraph on n >= 2 vertices without rejection
-    sampling: r//2 random Hamiltonian cycles, plus a random perfect
-    matching when r is odd (then n must be even).  Odd n gives odd cycles."""
+def cycle_union_multigraph(n: int, r: int, rng: random.Random) -> tuple[int, list]:
+    """A loop-free r-regular multigraph (n, edges) on n >= 2 vertices without
+    rejection sampling: r//2 random Hamiltonian cycles, plus a random
+    perfect matching when r is odd (then n must be even).  Odd n gives odd
+    cycles."""
     if r % 2 and n % 2:
         raise ValueError("odd r needs even n")
     edges = []
@@ -140,7 +140,7 @@ def cycle_union_multigraph(n: int, r: int, rng: random.Random) -> MultiGraph:
     if r % 2:
         order = rng.sample(range(n), n)
         edges += [(order[i], order[i + 1]) for i in range(0, n, 2)]
-    return MultiGraph(n, tuple(edges))
+    return n, edges
 
 
 def bipartite_witness_graph(half: int, b: int, rng: random.Random) -> Graph:
@@ -308,11 +308,11 @@ def reference_validate_2odd_biregular(g: Graph):
     return (b - 1) // 2
 
 
-def reference_build_reduced(g: Graph) -> ReducedMultigraph:
-    """The contraction of ``build_reduced`` made vertex by vertex over the
-    tuple rows of ``adjacency(g)``, kept as its oracle: every vertex of
-    degree 2, in index order, becomes one edge between its two neighbours,
-    numbered by their rank on the high side."""
+def reference_build_reduced(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The contraction (ends, xs) of ``build_reduced`` made vertex by vertex
+    over the tuple rows of ``adjacency(g)``, kept as its oracle: every
+    vertex of degree 2, in index order, becomes one edge between its two
+    neighbours, numbered by their rank on the high side."""
     adj = adjacency(g)
     ys = [v for v in range(g.n) if len(adj[v]) != 2]
     local = {y: i for i, y in enumerate(ys)}
@@ -322,7 +322,7 @@ def reference_build_reduced(g: Graph) -> ReducedMultigraph:
             u, w = adj[x]
             xs.append(x)
             ends.append((local[u], local[w]))
-    return ReducedMultigraph(MultiGraph(len(ys), tuple(ends)), tuple(ys), tuple(xs))
+    return np.array(ends, dtype=np.int64).reshape(-1, 2), np.array(xs, dtype=np.int64)
 
 
 def reference_owners(cs) -> tuple[tuple[int, ...], ...]:
@@ -600,22 +600,22 @@ def reference_propagate(g: Graph, mode: str, partial, waived=frozenset()) -> tup
     return label, False
 
 
-def _multigraph_odd_cycle(m: MultiGraph):
+def _multigraph_odd_cycle(n: int, ends: list):
     """First odd cycle under BFS 2-coloring, or None if 2-colorable.
 
     Returns (vertex list, edge-index list) with edge i joining vertex i to
     vertex i+1 (cyclically).  Parallel edges are even 2-cycles and never
     trigger a conflict.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(m.n)]
-    for eid, (u, v) in enumerate(m.edges):
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(ends):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
-    color = [-1] * m.n
-    parent = [-1] * m.n
-    parent_edge = [-1] * m.n
-    depth = [0] * m.n
-    for root in range(m.n):
+    color = [-1] * n
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [0] * n
+    for root in range(n):
         if color[root] != -1:
             continue
         color[root] = 0
@@ -661,11 +661,11 @@ def _lca_cycle(u, w, closing_edge, parent, parent_edge, depth):
     return verts, edges
 
 
-def _lift_walk(red, verts: list[int], edges: list[int]) -> list[int]:
+def _lift_walk(ys: list[int], xs: list[int], verts: list[int], edges: list[int]) -> list[int]:
     walk = []
     for i in range(len(verts)):
-        walk.append(red.y_vertices[verts[i]])
-        walk.append(red.x_of_edge[edges[i]])
+        walk.append(ys[verts[i]])
+        walk.append(xs[edges[i]])
     return walk
 
 
@@ -675,14 +675,15 @@ def reference_solve_biregular(g: Graph):
     odd cycle; otherwise colour each component by distance (mod 4) from its
     smallest high-side vertex.  For validated graphs only; returns
     (result, has_bad_cycle)."""
-    red = build_reduced(g, validate_2odd_biregular(g))
-    odd = _multigraph_odd_cycle(red.graph)
+    ends, xs = reference_build_reduced(g)
+    ys = [v for v in range(g.n) if g.degree(v) != 2]
+    odd = _multigraph_odd_cycle(len(ys), ends.tolist())
     if odd is not None:
-        cycle = extract_cycle_2mod4(_lift_walk(red, *odd))
+        cycle = extract_cycle_2mod4(_lift_walk(ys, xs.tolist(), *odd))
         return Certificate(_check_certificate(g, cycle)), True
-    factor = kk1_factor(red.graph)
+    factor = set(kk1_factor(len(ys), ends).tolist())
     labels = [0] * g.n
-    for eid, x in enumerate(red.x_of_edge):
+    for eid, x in enumerate(xs.tolist()):
         labels[x] = 1 if eid in factor else 0
     for comp in connected_components(g):
         comp_ys = [v for v in comp if g.degree(v) != 2]

@@ -24,7 +24,6 @@ from helpers import (
 )
 from lb2p import (
     Certificate,
-    MultiGraph,
     TwoPartition,
     Witness,
     assignment_to_partition,
@@ -124,21 +123,22 @@ def test_criterion_3_cycle_characterization():
 
 
 def _random_bipartite_regular_multigraph(half, b, rng):
-    """b-regular bipartite multigraph on 2*half vertices (b matchings)."""
+    """b-regular bipartite multigraph (n, edges) on 2*half vertices (b matchings)."""
     edges = []
     for _ in range(b):
         perm = list(range(half))
         rng.shuffle(perm)
         edges.extend((i, half + perm[i]) for i in range(half))
-    return MultiGraph(2 * half, tuple(edges))
+    return 2 * half, edges
 
 
 def _biregular_from_multigraph(mg):
+    n, pairs = mg
     edges = []
-    for i, (u, v) in enumerate(mg.edges):
-        x = mg.n + i
+    for i, (u, v) in enumerate(pairs):
+        x = n + i
         edges += [(u, x), (v, x)]
-    return Graph.from_edges(mg.n + len(mg.edges), edges)
+    return Graph.from_edges(n + len(pairs), edges)
 
 
 def test_criterion_4_biregular_dichotomy():
@@ -196,9 +196,10 @@ def test_criterion_4_biregular_dichotomy():
 
 
 def _subset_factor_exists(m, k):
-    n_edges = len(m.edges)
-    inc = np.zeros((n_edges, m.n), dtype=np.float32)
-    for i, (u, v) in enumerate(m.edges):
+    n, pairs = m
+    n_edges = len(pairs)
+    inc = np.zeros((n_edges, n), dtype=np.float32)
+    for i, (u, v) in enumerate(pairs):
         inc[i, u] += 1.0
         inc[i, v] += 1.0
     shifts = np.arange(n_edges, dtype=np.int64)
@@ -225,17 +226,18 @@ def test_criterion_5_factor_contract():
         if (n * r) % 2:
             continue
         m = random_regular_multigraph(n, r, rng)
+        edges = m[1]
         k = r // 2
-        result = kk1_factor(m)
-        degs = [0] * m.n
-        for i in result:
-            u, v = m.edges[i]
+        result = kk1_factor(n, np.array(edges, dtype=np.int64))
+        degs = [0] * n
+        for i in result.tolist():
+            u, v = edges[i]
             degs[u] += 1
             degs[v] += 1
         if not all(k <= d <= k + 1 for d in degs):
             ok = False
         checked += 1
-        if len(m.edges) <= 20:
+        if len(edges) <= 20:
             oracled += 1
             if not _subset_factor_exists(m, k):
                 ok = False

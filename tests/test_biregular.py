@@ -3,6 +3,7 @@ import sys
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -25,7 +26,6 @@ from helpers import (
 from lb2p import (
     Certificate,
     Graph,
-    MultiGraph,
     NotApplicable,
     Witness,
     balance_report,
@@ -44,9 +44,8 @@ def test_validate_k23():
     g = complete_bipartite(2, 3)
     k = validate_2odd_biregular(g)
     assert k == 1
-    red = build_reduced(g, k)
-    assert red.x_of_edge == (2, 3, 4)  # the degree-2 side
-    assert red.y_vertices == (0, 1)
+    _, xs = build_reduced(g)
+    assert xs.tolist() == [2, 3, 4]  # the degree-2 side
 
 
 def test_validate_c6_not_applicable():
@@ -58,9 +57,9 @@ def test_validate_subdivided_k4():
     g = subdivide(complete(4))
     k = validate_2odd_biregular(g)
     assert k == 1
-    red = build_reduced(g, k)
-    assert red.x_of_edge == tuple(range(4, 10))
-    assert len(red.y_vertices) == 4
+    ends, xs = build_reduced(g)
+    assert xs.tolist() == list(range(4, 10))
+    assert np.unique(ends).tolist() == [0, 1, 2, 3]
 
 
 def test_validate_rejects_even_high_degree():
@@ -90,17 +89,16 @@ def test_validate_rejects_edges_inside_a_class(edges):
 
 def test_build_reduced_k23():
     g = complete_bipartite(2, 3)
-    red = build_reduced(g, validate_2odd_biregular(g))
-    assert red.graph.n == 2
-    assert red.graph.edges == ((0, 1), (0, 1), (0, 1))
-    assert red.x_of_edge == (2, 3, 4)
+    ends, xs = build_reduced(g)
+    assert ends.dtype == np.int64 and ends.tolist() == [[0, 1], [0, 1], [0, 1]]
+    assert xs.tolist() == [2, 3, 4]
 
 
 def test_build_reduced_subdivided_k4_is_k4():
     g = subdivide(complete(4))
-    red = build_reduced(g, validate_2odd_biregular(g))
-    assert red.graph.n == 4
-    assert sorted(tuple(sorted(e)) for e in red.graph.edges) == list(
+    ends, _ = build_reduced(g)
+    assert np.unique(ends).tolist() == [0, 1, 2, 3]
+    assert sorted(tuple(sorted(e)) for e in ends.tolist()) == list(
         combinations(range(4), 2)
     )
 
@@ -109,55 +107,85 @@ def test_build_reduced_k25_theta():
     g = complete_bipartite(2, 5)
     k = validate_2odd_biregular(g)
     assert k == 2
-    red = build_reduced(g, k)
-    assert red.graph.n == 2 and len(red.graph.edges) == 5
-    assert all(tuple(sorted(e)) == (0, 1) for e in red.graph.edges)
+    ends, _ = build_reduced(g)
+    assert np.unique(ends).tolist() == [0, 1] and len(ends) == 5
+    assert all(tuple(sorted(e)) == (0, 1) for e in ends.tolist())
 
 
 def _factor_ok(m, k, edges):
-    degs = [0] * m.n
+    n, pairs = m
+    degs = [0] * n
     for i in edges:
-        u, v = m.edges[i]
+        u, v = pairs[i]
         degs[u] += 1
         degs[v] += 1
     return all(k <= d <= k + 1 for d in degs)
 
 
 def test_kk1_three_parallel_edges():
-    m = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
-    res = kk1_factor(m)
+    m = (2, [(0, 1), (0, 1), (0, 1)])
+    res = kk1_factor(*m)
     assert _factor_ok(m, 1, res)
     assert len(res) in (1, 2)
 
 
 def test_kk1_k4_matching_is_valid():
-    m = MultiGraph(4, tuple(combinations(range(4), 2)))
-    res = kk1_factor(m)
+    m = (4, list(combinations(range(4), 2)))
+    res = kk1_factor(*m)
     assert _factor_ok(m, 1, res)
 
 
 def test_kk1_c4_two_regular():
-    m = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    res = kk1_factor(m)
+    m = (4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    res = kk1_factor(*m)
     assert _factor_ok(m, 1, res)
+
+
+def test_kk1_returns_ascending_int64_indices():
+    m = (6, list(combinations(range(6), 2)) * 2)
+    res = kk1_factor(*m)
+    assert res.dtype == np.int64 and res.ndim == 1
+    assert res.tolist() == sorted(set(res.tolist()))
+    assert _factor_ok(m, 5, res)
+
+
+def _edges(*pairs):
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def test_kk1_rejects_bad_inputs():
     with pytest.raises(ValueError, match="empty"):
-        kk1_factor(MultiGraph(0, ()))
+        kk1_factor(0, _edges())
     with pytest.raises(ValueError, match=r"need r >= 2, got r=1"):
-        kk1_factor(MultiGraph(2, ((0, 1),)))
+        kk1_factor(2, _edges((0, 1)))
     with pytest.raises(ValueError, match=r"not regular \(degrees \[1, 2\]\)"):
-        kk1_factor(MultiGraph(3, ((0, 1), (1, 2))))
+        kk1_factor(3, _edges((0, 1), (1, 2)))
+    for n, ends, message in [
+        (2, _edges((0, 1), (1, 2)), r"^edge \(1,2\) out of range for n=2$"),
+        (3, _edges((0, 1), (-1, 2)), r"^edge \(-1,2\) out of range for n=3$"),
+        (3, _edges((0, 1), (2, 2)), r"^self-loop at vertex 2$"),
+        (0, _edges((0, 1)), r"^edge \(0,1\) out of range for n=0$"),
+        # the first bad edge decides, and range comes before the loop
+        (3, _edges((1, 1), (0, 5)), r"^self-loop at vertex 1$"),
+        (3, _edges((0, 5), (1, 1)), r"^edge \(0,5\) out of range for n=3$"),
+        (3, _edges((4, 4)), r"^edge \(4,4\) out of range for n=3$"),
+        # the ends are checked before regularity
+        (3, _edges((0, 1), (1, 2), (2, 2)), r"^self-loop at vertex 2$"),
+        (3, np.array([[0, 1, 2]]), r"shape \(m, 2\), got \(1, 3\)"),
+        (3, np.array([0, 1]), r"shape \(m, 2\), got \(2,\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            kk1_factor(n, ends)
 
 
 def _exhaustive_factor_exists(m, k):
-    n_edges = len(m.edges)
+    n, pairs = m
+    n_edges = len(pairs)
     for mask in range(1 << n_edges):
-        degs = [0] * m.n
+        degs = [0] * n
         for i in range(n_edges):
             if mask >> i & 1:
-                u, v = m.edges[i]
+                u, v = pairs[i]
                 degs[u] += 1
                 degs[v] += 1
         if all(k <= d <= k + 1 for d in degs):
@@ -171,10 +199,10 @@ def test_kk1_against_subset_oracle_small():
         r = rng.randint(2, 4)
         n = rng.choice([2, 4, 6])
         m = random_regular_multigraph(n, r, rng)
-        if len(m.edges) > 14:
+        if len(m[1]) > 14:
             continue
         k = r // 2
-        res = kk1_factor(m)
+        res = kk1_factor(*m)
         assert _factor_ok(m, k, res)
         assert _exhaustive_factor_exists(m, k)
 
@@ -197,12 +225,12 @@ def test_kk1_on_random_regular_multigraphs():
         sizes = [s + (s * r) % 2 for s in sizes]  # odd r needs an even size
         edges, offset = [], 0
         for size in sizes:
-            edges += [(u + offset, v + offset) for u, v in _sample_regular(size, r, rng).edges]
+            edges += [(u + offset, v + offset) for u, v in _sample_regular(size, r, rng)[1]]
             offset += size
-        m = MultiGraph(offset, tuple(edges))
+        m = (offset, edges)
         odd_edge_counts += len(edges) % 2
         disconnected += len(sizes) > 1
-        assert _factor_ok(m, r // 2, kk1_factor(m)), (r, m)
+        assert _factor_ok(m, r // 2, kk1_factor(*m)), (r, m)
     assert odd_edge_counts and disconnected
 
 
@@ -314,9 +342,9 @@ def test_extract_cycle_figure_eight():
 def test_even_multigraph_cycle_lifts_to_0_mod_4():
     # a pair of parallel reduced edges (an even 2-cycle) lifts to a 4-cycle
     g = complete_bipartite(2, 3)
-    red = build_reduced(g, validate_2odd_biregular(g))
-    x0, x1 = red.x_of_edge[0], red.x_of_edge[1]
-    y0, y1 = red.y_vertices
+    _, xs = build_reduced(g)
+    x0, x1 = xs[:2].tolist()
+    y0, y1 = (v for v in range(g.n) if g.degree(v) != 2)
     lifted = [y0, x0, y1, x1]
     for i in range(4):
         assert g.has_edge(lifted[i], lifted[(i + 1) % 4])
@@ -380,15 +408,13 @@ def test_build_reduced_matches_vertex_by_vertex_reference():
     for g, _ in _interleaved_graphs(random.Random(4099), 1000):
         if has_bad_cycle(g):
             continue
-        k = validate_2odd_biregular(g)
-        red = build_reduced(g, k)
-        expected = reference_build_reduced(g)
-        assert red.y_vertices == expected.y_vertices
-        assert red.x_of_edge == expected.x_of_edge
-        assert red.graph.edges == expected.graph.edges
-        assert red == expected
+        ends, xs = build_reduced(g)
+        expected_ends, expected_xs = reference_build_reduced(g)
+        assert xs.tolist() == expected_xs.tolist()
+        assert ends.dtype == np.int64 and ends.tolist() == expected_ends.tolist()
         seen["witness"] += 1
-        seen["parallel"] += len(set(red.graph.edges)) < len(red.graph.edges)
+        pairs = list(map(tuple, ends.tolist()))
+        seen["parallel"] += len(set(pairs)) < len(pairs)
     assert min(seen.values()) >= 100, seen
 
 
@@ -440,12 +466,12 @@ def test_many_components_witness_is_linear():
     "broken,graph,message",
     [
         (
-            "b.kk1_factor = lambda m: frozenset()",
+            "b.kk1_factor = lambda n, ends: []",
             "complete_bipartite(2, 3)",
             "constructed witness failed the checker",
         ),
         (
-            "b._round_half_edges = lambda m: []",
+            "b._round_half_edges = lambda ends, degs: []",
             "complete_bipartite(2, 3)",
             "factor degrees [0] leave [1, 2]",
         ),

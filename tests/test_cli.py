@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -343,6 +344,23 @@ def test_cli_import_loads_only_lb2p_and_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['lb2p', 'numpy'] False\n"
+
+
+def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
+    """``main`` builds its argparse parser on its first call only: a later
+    call adds no argument, and each call still parses its own command."""
+    assert main(["check", "--mode", "open", str(files["c4"]), str(files["part"])]) == 0
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_argument", lambda self, *a, **k: added.append(a) or add_argument(self, *a, **k)
+    )
+    capsys.readouterr()
+    assert main(["solve", "--mode", "open", str(files["c6"])]) == 0
+    assert main(["solve", "--mode", "sideways", "x.graph"]) == 2
+    assert main(["check", "--mode", "open", str(files["c4"]), str(files["part"])]) == 0
+    assert capsys.readouterr().out == "UNSAT\nVALID\n"
+    assert added == []
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "forcing", "f4"])
