@@ -7,9 +7,11 @@ tests read the arrays in numpy; every traversal here (``bfs_distances``,
 ``connected_components`` and the 2-colouring of ``bipartition`` and
 ``classify``) runs on one BFS, ``_reach``.  A ``Graph`` is immutable.
 
-``parse_graph`` scans the document once in numpy, with no Python string per
-line or token; one numpy pass over the endpoints (shared with
-``Graph.from_edges``) checks range, loops and repeats and sorts the arcs.
+``_scan`` reads a graph or formula file once in numpy, with no Python string
+per line or token: a header line, then rows of a fixed number of integers.
+``parse_graph`` and ``nae.parse_nae`` both call it.  One numpy pass over the
+endpoints (shared with ``Graph.from_edges``) checks range, loops and repeats
+and sorts the arcs.
 """
 
 from __future__ import annotations
@@ -70,16 +72,15 @@ def _describe(kind: str, u: int, v: int) -> str:
     return f"vertex out of range in edge ({u},{v})"
 
 
-def _int64_ends(pairs: Union[np.ndarray, Sequence[tuple[int, int]]]) -> np.ndarray:
-    """The endpoints as (m, 2) int64 pairs, of an (m, 2) array as it is or of
-    a list of pairs flattened.  An endpoint beyond int64, out of range for
-    any allowed n, becomes -1."""
-    flat = pairs if isinstance(pairs, np.ndarray) else list(chain.from_iterable(pairs))
+def _int64_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]], width: int) -> np.ndarray:
+    """The rows as a (k, width) int64 array, of a (k, width) array as it is or
+    of a list of rows flattened.  A value beyond int64 becomes -1."""
+    flat = rows if isinstance(rows, np.ndarray) else list(chain.from_iterable(rows))
     try:
-        return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+        return np.asarray(flat, dtype=np.int64).reshape(-1, width)
     except OverflowError:
         flat = [x if -(2**63) <= x < 2**63 else -1 for x in flat]
-        return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+        return np.asarray(flat, dtype=np.int64).reshape(-1, width)
 
 
 def _csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +153,7 @@ class Graph:
         if len(pairs) and (pairs.shape[1:] != (2,) if array else set(map(len, pairs)) != {2}):
             raise ValueError("every edge must be a pair (u, v)")
         try:
-            return cls(n, *_csr(n, _int64_ends(pairs)))
+            return cls(n, *_csr(n, _int64_rows(pairs, 2)))
         except _EdgeError as exc:
             u, v = pairs[exc.index]
             if exc.kind == "range":
@@ -237,7 +238,7 @@ def _tokens(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     space = pos[keep].astype(np.int32 if len(codes) < 2**31 else np.int64)
     ends_line = cls[keep] == 2
     del pos, cls, keep
-    if "\r\n" in text:  # its "\n" ends no line of its own
+    if "\r" in text:  # a "\n" after a "\r" ends no line of its own
         crlf = np.flatnonzero(ends_line)
         at = space[crlf]
         ends_line[crlf[(codes[at] == 10) & (codes[np.maximum(at - 1, 0)] == 13)]] = False
@@ -246,16 +247,6 @@ def _tokens(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     gaps = np.flatnonzero(np.diff(bounds) > 1)
     line_of = np.cumsum(np.concatenate(([False], ends_line)), dtype=space.dtype)[gaps]
     return codes, bounds[gaps] + 1, bounds[gaps + 1], line_of, space[ends_line]
-
-
-def _line(text: str, breaks: np.ndarray, i: int) -> str:
-    """Line i (0-based) of ``text`` without its boundary, as ``str.splitlines``
-    gives it; ``breaks`` are the boundary positions from ``_tokens``."""
-    start = 0
-    if i:
-        at = int(breaks[i - 1])
-        start = at + (2 if text.startswith("\r\n", at) else 1)
-    return text[start : int(breaks[i]) if i < len(breaks) else len(text)]
 
 
 def _endpoints(
@@ -297,65 +288,98 @@ def _endpoints(
     return values, None
 
 
+@dataclass(frozen=True, eq=False)
+class _Scan:
+    """A document as ``_scan`` reads it: the header line's tokens, then
+    ``rows`` of ``width`` integers and the 1-based line of each, up to line
+    ``bad``, the first whose token count is neither 0 nor ``width``
+    (``bad_width``) or that holds a token ``int()`` rejects."""
+
+    text: str
+    breaks: np.ndarray  # the position of each line boundary, as ``_tokens`` gives it
+    head: list[str]
+    rows: np.ndarray  # int64, ``int()`` of the tokens, -1 for a value beyond int64
+    lines: np.ndarray
+    bad: Optional[int]
+    bad_width: bool
+
+    def line(self, i: int) -> str:
+        """Line i (1-based) without its boundary, as ``str.splitlines`` gives it."""
+        text, breaks, start = self.text, self.breaks, 0
+        if i > 1:
+            at = int(breaks[i - 2])
+            start = at + (2 if text.startswith("\r\n", at) else 1)
+        return text[start : int(breaks[i - 1]) if i <= len(breaks) else len(text)]
+
+    @property
+    def nlines(self) -> int:
+        """``len(text.splitlines())``."""
+        return len(self.breaks) + (self.line(len(self.breaks) + 1) != "")
+
+    def ints(self, i: int) -> list[int]:
+        """``int()`` of the tokens of line i, with no int64 bound."""
+        return [int(t) for t in self.line(i).split()]
+
+
+def _scan(text: str, width: int) -> _Scan:
+    """Read ``text`` as a header line, then rows of ``width`` integers.
+
+    Lines and tokens are those of ``str.splitlines`` and ``str.split``, and
+    values are ``int()`` of their tokens, but the document is scanned once in
+    numpy: the whitespace positions give the token bounds, each token's line
+    and each line's token count.  Lines without a token are skipped.
+    """
+    codes, starts, stops, line_of, breaks = _tokens(text)
+    widths = np.bincount(line_of, minlength=1)
+    top = int(widths[0])
+    head = [text[a:b] for a, b in zip(starts[:top].tolist(), stops[:top].tolist())]
+    wrong = np.flatnonzero((widths[1:] != 0) & (widths[1:] != width))
+    bad = int(wrong[0]) + 2 if len(wrong) else None
+    # Every line boundary is whitespace, so after the header's tokens the
+    # document's tokens are those of the rows, in order.
+    count = top + int(widths[1 : bad - 1 if bad else None].sum())
+    lines = line_of[top:count:width] + 1
+    del line_of, widths
+    values, rejected = _endpoints(text, codes, starts[top:count], stops[top:count])
+    if rejected is not None:
+        kept = rejected // width
+        bad = int(lines[kept])
+        values, lines = values[: kept * width], lines[:kept]
+    return _Scan(text, breaks, head, values.reshape(-1, width), lines, bad, rejected is None)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: header line ``n m`` then m lines ``u v``.
 
     Rejects malformed lines, out-of-range indices, loops, and duplicate
     edges, each reported with its line number; the first offending line in
-    the document is the one reported.
-
-    Lines and tokens are those of ``str.splitlines`` and ``str.split``, and
-    endpoints are ``int()`` of their tokens, but the document is scanned once
-    in numpy: the whitespace positions give the token bounds, each token's
-    line and each line's token count.
+    the document is the one reported.  The document is read by ``_scan``.
     """
-    codes, starts, stops, line_of, breaks = _tokens(text)
-    nlines = len(breaks) + (_line(text, breaks, len(breaks)) != "")
-    if not nlines:
+    if not text:
         raise GraphFormatError("header", "empty document", 1)
-    widths = np.bincount(line_of, minlength=nlines)
-    if widths[0] != 2:
+    scan = _scan(text, 2)
+    if len(scan.head) != 2:
         raise GraphFormatError("header", "expected header 'n m'", 1)
     try:
-        n, m = (int(text[a:b]) for a, b in zip(starts[:2].tolist(), stops[:2].tolist()))
+        n, m = map(int, scan.head)
     except ValueError:
         raise GraphFormatError("header", "expected two integers in header", 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("header", "negative counts in header", 1)
     if n > MAX_VERTICES:
         raise GraphFormatError("header", f"vertex count {n} exceeds {MAX_VERTICES}", 1)
-
-    pending: Optional[GraphFormatError] = None  # a line error after the edges read
-    widths = widths[1:]
-    stop = len(widths)
-    malformed = np.flatnonzero((widths != 0) & (widths != 2))
-    if len(malformed):
-        stop = int(malformed[0])
-        raw = _line(text, breaks, stop + 1)
-        pending = GraphFormatError("malformed", f"expected 'u v', got {raw!r}", stop + 2)
-    # Every line boundary is whitespace, so after the header's two tokens the
-    # document's tokens are those of the edge lines, in order.
-    count = 2 + int(widths[:stop].sum())
-    edge_line = line_of[2:count:2] + 1  # the line of each edge
-    del line_of, widths
-    values, bad = _endpoints(text, codes, starts[2:count], stops[2:count])
-    del codes, starts, stops  # free the scan before the adjacency
-    if bad is not None:
-        line = int(edge_line[bad // 2])
-        values = values[: bad - bad % 2]
-        raw = _line(text, breaks, line - 1)
-        pending = GraphFormatError("malformed", f"non-integer endpoint in {raw!r}", line)
-    ends = values.reshape(-1, 2)
     try:
-        indptr, nbrs = _csr(n, ends)
-    except _EdgeError as exc:
-        line = int(edge_line[exc.index])
-        u, v = map(int, _line(text, breaks, line - 1).split())
+        indptr, nbrs = _csr(n, scan.rows)
+    except _EdgeError as exc:  # an edge before the scan's bad line, so it comes first
+        line = int(scan.lines[exc.index])
+        u, v = scan.ints(line)
         raise GraphFormatError(exc.kind, _describe(exc.kind, u, v), line) from None
-    if pending is not None:
-        raise pending
-    if len(ends) != m:
-        raise GraphFormatError("truncated", f"header promises {m} edges, found {len(ends)}", nlines)
+    if scan.bad is not None:
+        raw = scan.line(scan.bad)
+        message = f"expected 'u v', got {raw!r}" if scan.bad_width else f"non-integer endpoint in {raw!r}"
+        raise GraphFormatError("malformed", message, scan.bad)
+    if len(scan.rows) != m:
+        raise GraphFormatError("truncated", f"header promises {m} edges, found {len(scan.rows)}", scan.nlines)
     return Graph(n, indptr, nbrs)
 
 

@@ -8,9 +8,9 @@ count that reaches cap forces every unassigned member to the other label.
 The degree-2 open rule (the two neighbors of a degree-2 vertex get distinct
 labels) and the degree-1 closed rule (a leaf differs from its support) fall
 out as instances.  Counts change only as labels are set and undone, and
-only a count that reaches or passes cap queues its scope for the forcing
-loop, which tests it for a conflict and forces inline.  The fixpoint, and
-whether it conflicts, do not depend on the order of the queue.
+only a count past cap, or at cap with a member unassigned, queues its scope
+for the forcing loop, which tests it for a conflict and forces inline.  The
+fixpoint, and whether it conflicts, do not depend on the order of the queue.
 
 ``decide`` first runs the rule to fixpoint, then splits the unassigned
 vertices into the components of the scope hypergraph: two vertices are
@@ -138,7 +138,7 @@ class _Search:
     """Trail-based backtracking engine over a ConstraintSystem."""
 
     __slots__ = (
-        "n", "scopes", "owners", "cap", "count", "label", "trail", "pending", "twin",
+        "n", "scopes", "owners", "cap", "size", "count", "label", "trail", "pending", "twin",
         "probing", "nodes", "propagations", "conflicts", "probes", "budget", "conflict_vertex",
     )
 
@@ -149,11 +149,12 @@ class _Search:
         # Scopes are symmetric: those containing u are scopes[u]'s unwaived members.
         wv = cs.waived
         self.owners = tuple(tuple(v for v in s if v not in wv) for s in cs.scopes) if wv else cs.scopes
-        self.cap = [(len(s) + 1) // 2 for s in cs.scopes]
+        self.size = [len(s) for s in cs.scopes]
+        self.cap = [(size + 1) // 2 for size in self.size]
         self.count = ([0] * n, [0] * n)  # per label, assigned members of each scope
         self.label = [-1] * n
         self.trail: list[int] = []
-        # (scope, label) at or past cap, or (~u, label) when the twin order gives u that label
+        # (scope, label) that can force or conflict, or (~u, label) when the twin order gives u that label
         self.pending: list[tuple[int, int]] = []
         self.twin = ([-1] * n, [-1] * n)  # per label x, the twin that a label x forces to x
         self.probing = False  # search probes after each successful flush
@@ -181,12 +182,12 @@ class _Search:
     def _set(self, u: int, val: int) -> None:
         self.label[u] = val
         self.trail.append(u)
-        cnt = self.count[val]
-        cap = self.cap
+        cnt, other = self.count[val], self.count[1 - val]
+        cap, size = self.cap, self.size
         for v in self.owners[u]:
             c = cnt[v] + 1
             cnt[v] = c
-            if c >= cap[v]:
+            if c >= cap[v] and (c > cap[v] or c + other[v] < size[v]):
                 self.pending.append((v, val))
         t = self.twin[val][u]
         if t >= 0:
@@ -214,6 +215,7 @@ class _Search:
         owners = self.owners
         count = self.count
         cap = self.cap
+        size = self.size
         twin = self.twin
         forced = 0
         while pending:
@@ -230,7 +232,7 @@ class _Search:
                     self.conflict_vertex = v
                     break
                 targets = (v,)
-            cnt = count[val]
+            cnt, other = count[val], count[1 - val]
             nxt = twin[val]
             for w in targets:
                 if label[w] == -1:
@@ -240,7 +242,7 @@ class _Search:
                     for x in owners[w]:
                         c = cnt[x] + 1
                         cnt[x] = c
-                        if c >= cap[x]:
+                        if c >= cap[x] and (c > cap[x] or c + other[x] < size[x]):
                             pending.append((x, val))
                     t = nxt[w]
                     if t >= 0:

@@ -7,7 +7,7 @@ import random
 import re
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -26,7 +26,7 @@ from lb2p.biregular import (
 )
 from lb2p.gadgets import gadget_f4, gadget_forcing
 from lb2p.graphs import bfs_distances, connected_components
-from lb2p.nae import NaeInstance, occurrence_slots
+from lb2p.nae import NaeFormatError, NaeInstance, occurrence_slots
 from lb2p.reductions import REDUCTIONS, RoleMapError, UnsatAssignmentError
 
 
@@ -363,6 +363,145 @@ def random_nae_instance(n: int, rng: random.Random, tries: int = 20000) -> NaeIn
 
 
 CANONICAL_N3 = "p nae3 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"
+
+
+def reference_from_clauses(n: int, clauses) -> NaeInstance:
+    """The per-clause ``NaeInstance.from_clauses``, kept as an oracle: same
+    instance, or the same error kind and message."""
+    if n < 1:
+        raise NaeFormatError("empty", "instance must have at least one variable")
+    norm = []
+    counts: Counter[int] = Counter()
+    for c in clauses:
+        if len(c) != 3 or len(set(c)) != 3:
+            raise NaeFormatError(
+                "duplicate-variable", f"clause {tuple(c)} must hold 3 distinct variables"
+            )
+        for x in c:
+            if not (0 <= x < n):
+                raise NaeFormatError("range", f"variable {x + 1} out of range")
+        norm.append(tuple(sorted(c)))
+        counts.update(c)
+    for x in range(n):
+        if counts[x] != 4:
+            raise NaeFormatError(
+                "occurrence-count",
+                f"variable {x + 1} occurs {counts[x]} times, expected 4",
+            )
+    return NaeInstance(n, tuple(norm))
+
+
+def reference_parse_nae(text: str) -> NaeInstance:
+    """The line-by-line formula parser, kept as an oracle for ``parse_nae``:
+    same instance, or the same error kind, line and message."""
+    lines = text.splitlines()
+    if not lines:
+        raise NaeFormatError("header", "empty document", 1)
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "p" or head[1] != "nae3":
+        raise NaeFormatError("header", "expected header 'p nae3 n k'", 1)
+    try:
+        n, k = int(head[2]), int(head[3])
+    except ValueError:
+        raise NaeFormatError("header", "non-integer counts in header", 1) from None
+    clauses = []
+    lineno = 1
+    for raw in lines[1:]:
+        lineno += 1
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        if len(parts) != 3:
+            raise NaeFormatError("malformed", f"expected 3 variables, got {raw!r}", lineno)
+        try:
+            lits = [int(p) for p in parts]
+        except ValueError:
+            raise NaeFormatError("malformed", f"non-integer variable in {raw!r}", lineno) from None
+        if len(set(lits)) != 3:
+            raise NaeFormatError("duplicate-variable", f"repeated variable in clause {raw!r}", lineno)
+        for x in lits:
+            if not (1 <= x <= n):
+                raise NaeFormatError("range", f"variable {x} out of range 1..{n}", lineno)
+        clauses.append(tuple(x - 1 for x in lits))
+    if len(clauses) != k:
+        raise NaeFormatError("truncated", f"header promises {k} clauses, found {len(clauses)}", lineno)
+    return reference_from_clauses(n, clauses)
+
+
+_BIG = 2**63
+# Formula documents each reader must reject or accept alike: headers,
+# line boundaries, token forms, widths, ranges and counts.  The fuzz tests
+# start from these and from valid formulas.
+NAE_CORPUS = [
+    "",
+    "\n",
+    " \n",
+    "\n" + CANONICAL_N3,
+    "p nae3 3\n",
+    "p nae3 3 4 5\n",
+    "p cnf 3 4\n",
+    "P nae3 3 4\n",
+    "p nae3 x 4\n",
+    "p nae3 3 4.0\n",
+    "p nae3 +3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 0_3 0_4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 0 0\n",
+    "p nae3 -1 0\n",
+    "p nae3 0 1\n1 2 3\n",
+    "p nae3 3 0\n",
+    "p nae3 1000000000000 0\n",
+    f"p nae3 {10**30} 1\n1 2 {10**25}\n",
+    f"p nae3 {10**30} 1\n{10**25} {10**25 + 1} 3\n",
+    f"p nae3 {10**30} 1\n{10**25} {10**25} 3\n",
+    f"p nae3 {-(10**30)} 1\n1 2 3\n",
+    CANONICAL_N3,
+    CANONICAL_N3.rstrip("\n"),
+    CANONICAL_N3.replace("\n", "\r\n"),
+    CANONICAL_N3.replace("\n", "\r"),
+    CANONICAL_N3.replace("\n", "\n\r"),
+    CANONICAL_N3.replace("\n", "\n\n"),
+    CANONICAL_N3.replace("\n", " \n\t"),
+    CANONICAL_N3.replace(" ", "\t"),
+    CANONICAL_N3.replace(" ", "\x0c"),
+    *(CANONICAL_N3.replace("\n", eol) for eol in ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]),
+    CANONICAL_N3.replace(" ", "\xa0"),
+    CANONICAL_N3.replace(" ", "\u3000"),
+    CANONICAL_N3 + "\n\n  \n",
+    CANONICAL_N3 + "1 2 3\n",
+    CANONICAL_N3[: -len("1 2 3\n")],
+    CANONICAL_N3[:-3],
+    "p nae3 3 4\n1 2 3\n1 2\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3\n1 2 3 1\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3 4 5 6\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n123\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n+1 2 3\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n+7 2 3\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n0_1 2 3\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n01 002 3\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3\n1 x 3\n1 2 3\n1 2\n",
+    "p nae3 3 4\n1 2 3\n1 2\n1 x 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3\n1 2 \u0663\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3\n1 2 3.0\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 1 2\n1 2 3\n1 2 3\n2 3 3\n",
+    "p nae3 3 4\n1 2 5\n1 1 3\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 1 5\n1 2 3\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3\n0 1 2\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3\n-1 1 2\n1 2 3\n1 2 3\n",
+    "p nae3 3 4\n1 2 3\n1 2 5\n1 x\n1 2 3\n",
+    f"p nae3 3 4\n1 2 {_BIG}\n1 2 3\n1 2 3\n1 2 3\n",
+    f"p nae3 3 4\n1 2 {_BIG - 1}\n1 2 3\n1 2 3\n1 2 3\n",
+    f"p nae3 3 4\n{-_BIG} 1 2\n1 2 3\n1 2 3\n1 2 3\n",
+    f"p nae3 3 4\n{-_BIG - 1} 1 2\n1 2 3\n1 2 3\n1 2 3\n",
+    f"p nae3 3 4\n{10**20} {10**20 + 1} 2\n1 2 3\n1 2 3\n1 2 3\n",
+    f"p nae3 3 4\n{10**20} {10**20} 2\n1 2 3\n1 2 3\n1 2 3\n",
+    f"p nae3 3 4\n-1 {10**20} 2\n1 2 3\n1 2 3\n1 2 3\n",
+    f"p nae3 3 4\n1 2 3\n1 2 3\n{'9' * 19} 1 2\n1 2\n",
+    "p nae3 4 4\n1 2 3\n1 2 3\n1 2 4\n1 3 4\n",
+    "p nae3 6 8\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n4 5 6\n4 5 6\n4 5 6\n4 5 6\n",
+    "p nae3 6 8\n4 5 6\n1 2 3\n6 5 4\n3 2 1\n1 2 3\n4 5 6\n1 3 2\n5 4 6\n",
+    "p nae3 7 8\n4 5 6\n1 2 3\n6 5 4\n3 2 1\n1 2 3\n4 5 6\n1 3 2\n5 4 6\n",
+    "p nae3 6 8\n4 5 6\n1 2 3\n6 5 4\n3 2 1\n1 2 3\n4 5 6\n1 3 2\n5 4 1\n",
+]
 
 
 def occurrence_slot(inst: NaeInstance, var: int, clause_index: int) -> int:

@@ -135,6 +135,18 @@ def test_graph_too_large_to_allocate_is_exit_2(files, capsys, monkeypatch):
     assert captured.err == "error: out of memory: Unable to allocate 1.49 GiB\n"
 
 
+def test_formula_with_huge_variable_count_is_format_error(tmp_path, capsys):
+    """A header promising 10**12 variables and no clause allocates nothing
+    by that count: the first variable's count is reported."""
+    formula = tmp_path / "huge.nae"
+    formula.write_text("p nae3 1000000000000 0\n")
+    assert main(["reduce", "--target", "even", "--out", str(tmp_path / "f"), str(formula)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "format error: variable 1 occurs 0 times, expected 4\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.nae"]
+
+
 @pytest.mark.parametrize("budget", ["0", "-5", "ten"])
 def test_solve_nonpositive_budget_is_usage_error(files, capsys, budget):
     code = main(["solve", "--mode", "open", "--budget", budget, str(files["c4"])])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     CANONICAL_N3,
     adjacency,
+    complete,
     cycle,
     disjoint_union,
     erdos_renyi,
@@ -294,6 +295,55 @@ def test_decide_pinned_on_reductions():
         line = out.witness.to_line() if out.witness else None
         got = hashlib.sha256(line.encode()).hexdigest()[:16] if line else None
         assert (target, n, out.status, out.nodes, got) == (target, n, status, nodes, digest)
+
+
+# (status, nodes, propagations, conflicts, probes, components) of decide on
+# the PINNED_REDUCTIONS graphs, in their order: the forcing queue may skip
+# entries that cannot force or conflict, but no counter may move.
+PINNED_COUNTERS = [
+    ("sat", 289, 1206, 43, 193, 2),
+    ("sat", 152, 849, 0, 147, 1),
+    ("sat", 222, 2334, 0, 217, 1),
+    ("sat", 2185, 11115, 447, 1273, 2),
+    ("sat", 187, 1032, 0, 178, 1),
+    ("sat", 277, 2913, 0, 268, 1),
+    ("sat", 264, 1356, 28, 193, 2),
+    ("sat", 219, 1266, 0, 212, 1),
+    ("sat", 317, 3375, 0, 310, 1),
+    ("sat", 1172, 5769, 178, 795, 2),
+    ("sat", 344, 2079, 1, 331, 1),
+    ("sat", 484, 5337, 1, 471, 1),
+    ("sat", 1372, 8132, 241, 867, 2),
+    ("sat", 288, 1690, 0, 280, 1),
+    ("sat", 414, 4483, 0, 406, 1),
+]
+
+
+def test_decide_counters_pinned_on_reductions():
+    rng = random.Random(404)
+    mode = {"bireg": "open", "subcubic": "closed", "odd": "closed"}
+    inst = None
+    for (target, n, *_), counters in zip(PINNED_REDUCTIONS, PINNED_COUNTERS, strict=True):
+        if target == "bireg":
+            inst = random_nae_instance(n, rng)
+        out = decide(reduce_by_name(target, inst, 1).graph, mode[target], node_budget=5000)
+        got = (out.status, out.nodes, out.propagations, out.conflicts, out.probes, out.components)
+        assert got == counters, (target, n)
+
+
+@pytest.mark.parametrize(
+    "g, mode, partial, conflict, forced",
+    [
+        (complete(4), "closed", [0, 0, 0, None], 3, 0),
+        (cycle(6), "open", [0, None, 0, None, None, None], 1, 1),
+        (cycle(5), "closed", [0, 0, None, 1, 1], 1, 1),
+        (path(4), "open", [0, None, 0, None], 1, 0),
+        (complete(5), "open", [1, 1, 1, None, None], 4, 0),
+    ],
+)
+def test_propagate_conflict_vertex_pinned(g, mode, partial, conflict, forced):
+    result = propagate(ConstraintSystem.from_graph(g, mode), partial)
+    assert (result.conflict, result.forced) == (conflict, forced)
 
 
 def test_decide_closed_reductions_of_96_variables_within_budget():
