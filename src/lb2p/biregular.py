@@ -83,8 +83,8 @@ def validate_2odd_biregular(g: Graph) -> Union[int, NotApplicable]:
 
     Succeeds iff every vertex has degree 2 or a common odd degree 2k+1
     (k >= 1) and every edge joins the two degree classes, which are then
-    the two sides: the degree-2 side and the high side.  The test is one
-    numpy pass over the degrees.
+    the two sides: the degree-2 side and the high side.  Both tests run in
+    numpy; a failure names the first edge inside a class, as ``edges`` sorts.
     """
     if g.n == 0:
         return NotApplicable("empty graph")
@@ -98,19 +98,11 @@ def validate_2odd_biregular(g: Graph) -> Union[int, NotApplicable]:
     if b % 2 == 0 or b < 3:
         return NotApplicable(f"high-side degree {b} is not 2k+1 with k >= 1")
     high_side = degs != 2
-    nx = g.n - int(np.count_nonzero(high_side))
-    if not nx:
+    if high_side.all():
         return NotApplicable("no degree-2 side")
-    # No edge lies inside X iff every neighbor of X has degree b, that is (every
-    # degree being 2 or b > 2) iff the 2|X| neighbor degrees of X sum to 2|X|b.
-    # Then the 2|X| edges leaving X fill all b|Y| edge ends on Y iff none lies
-    # inside Y.
-    first = g.indptr[:-1][~high_side]
-    x_neighbors = int(degs[g.nbrs[first]].sum() + degs[g.nbrs[first + 1]].sum())
-    if b * (g.n - nx) != 2 * nx or x_neighbors != 2 * nx * b:
-        side = high_side.tolist()
-        u, v = next((u, v) for u, v in g.edges() if side[u] == side[v])
-        return NotApplicable(f"edge ({u},{v}) stays inside one degree class")
+    inside = np.flatnonzero(np.repeat(high_side, degs) == high_side[g.nbrs])  # tail and head classes
+    if len(inside):
+        return NotApplicable(f"edge ({g.tails()[inside[0]]},{g.nbrs[inside[0]]}) stays inside one degree class")
     return (b - 1) // 2
 
 

@@ -3,9 +3,11 @@
 Vertices are dense 0-based indices.  ``Graph`` is simple and undirected, in
 compressed sparse rows: numpy ``indptr`` (n + 1) and ``nbrs``, each vertex's
 neighbours sorted, its only representation.  Degrees, edges and the class
-tests read the arrays in numpy; every traversal here (``bfs_distances``,
-``connected_components`` and the 2-colouring of ``bipartition`` and
-``classify``) runs on one BFS, ``_reach``.  A ``Graph`` is immutable.
+tests read the arrays in numpy.  Components come from one numpy kernel,
+``_roots`` (hooking and pointer jumping): ``connected_components`` runs it
+on the graph, and the 2-colouring of ``bipartition`` and ``classify`` on
+the bipartite double cover.  ``bfs_distances`` keeps a queue of its own.
+A ``Graph`` is immutable.
 
 ``_scan`` reads a graph or formula file once in numpy, with no Python string
 per line or token: a header line, then rows of a fixed number of integers.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -73,14 +75,16 @@ def _describe(kind: str, u: int, v: int) -> str:
 
 
 def _int64_rows(rows: Union[np.ndarray, Sequence[Sequence[int]]], width: int) -> np.ndarray:
-    """The rows as a (k, width) int64 array, of a (k, width) array as it is or
-    of a list of rows flattened.  A value beyond int64 becomes -1."""
-    flat = rows if isinstance(rows, np.ndarray) else list(chain.from_iterable(rows))
-    try:
-        return np.asarray(flat, dtype=np.int64).reshape(-1, width)
-    except OverflowError:
-        flat = [x if -(2**63) <= x < 2**63 else -1 for x in flat]
-        return np.asarray(flat, dtype=np.int64).reshape(-1, width)
+    """The rows as a (k, width) int64 array, of a (k, width) array or of a
+    list of rows flattened, up to the first row that holds a value other
+    than an integer.  A value beyond int64 becomes -1."""
+    flat = rows.ravel() if isinstance(rows, np.ndarray) else list(chain.from_iterable(rows))
+    values = np.asarray(flat)
+    if values.dtype.kind != "i":  # floats, strings, ints beyond int64, no value: one by one
+        whole = list(takewhile(lambda x: isinstance(x, (int, np.integer)), flat))
+        whole = [x if -(2**63) <= x < 2**63 else -1 for x in whole[: len(whole) - len(whole) % width]]
+        values = np.array(whole, dtype=np.int64)
+    return values.astype(np.int64, copy=False).reshape(-1, width)
 
 
 def _csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,13 +156,18 @@ class Graph:
         pairs = edges if array else list(edges)
         if len(pairs) and (pairs.shape[1:] != (2,) if array else set(map(len, pairs)) != {2}):
             raise ValueError("every edge must be a pair (u, v)")
+        ends = _int64_rows(pairs, 2)
         try:
-            return cls(n, *_csr(n, _int64_rows(pairs, 2)))
+            csr = _csr(n, ends)  # the edges before a non-integer one, whose faults come first
         except _EdgeError as exc:
             u, v = pairs[exc.index]
             if exc.kind == "range":
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}") from None
             raise ValueError(_describe(exc.kind, u, v)) from None
+        if len(ends) < len(pairs):
+            u, v = pairs[len(ends)]
+            raise ValueError(f"non-integer endpoint in edge ({u!r},{v!r})")
+        return cls(n, *csr)
 
     @property
     def m(self) -> int:
@@ -391,40 +400,45 @@ def serialize_graph(g: Graph) -> str:
     return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(ends)
 
 
-def _reach(g: Graph, roots: Iterable[int], dist: list[Optional[int]]) -> Iterable[list[int]]:
-    """Breadth-first search from each of ``roots`` that ``dist`` still marks
-    unreached (None): fills in edge counts from that root and yields the
-    vertices reached, in visiting order.  It reads ``indptr`` and ``nbrs``
-    through memoryviews, as ``biregular._bfs`` does: no copy, no numpy call
-    per vertex."""
-    ptr, nbrs = memoryview(g.indptr), memoryview(g.nbrs)
-    for root in roots:
-        if dist[root] is not None:
-            continue
-        dist[root] = 0
-        queue = [root]
-        for u in queue:  # the loop also visits what it appends
-            d = dist[u] + 1
-            for v in nbrs[ptr[u] : ptr[u + 1]]:
-                if dist[v] is None:
-                    dist[v] = d
-                    queue.append(v)
-        yield queue
+def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component in the graph on 0..n-1
+    with edges ``u[i]v[i]``, in their dtype, by min-root hooking and pointer
+    jumping (Shiloach & Vishkin, J. Algorithms 1982).  Each round hooks
+    every root onto the smallest root next to it, jumps pointers until each
+    vertex points at its tree's root, and drops the edges inside a tree.
+    No vertex points above itself, so a component's last root is its
+    smallest vertex."""
+    root = np.arange(n, dtype=u.dtype)
+    ru, rv = u, v  # the roots of the edge ends: at first each vertex is its own
+    while len(u):
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root.take(root)
+            if (up == root).all():
+                break
+            root = up.take(up)
+        # ``take`` is faster but copies int32 indices to intp: the edge ends are indexed.
+        ru, rv = root[u], root[v]
+        cross = np.flatnonzero(ru != rv)
+        u, v = u.take(cross), v.take(cross)
+        ru, rv = ru.take(cross), rv.take(cross)
+    return root
 
 
-def _two_color(g: Graph) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """2-colouring by BFS depth parity: (colour, component id) arrays, or
-    None if an edge joins two equal parities (an odd cycle).  Roots are taken
-    in index order, so each is its component's smallest vertex, coloured 0,
-    and a component's id is its root's ordinal."""
-    dist: list[Optional[int]] = [None] * g.n
-    comps = list(_reach(g, range(g.n), dist))
-    color = np.array(dist, dtype=np.int64) % 2
-    if (color[g.tails()] == color[g.nbrs]).any():
+def _two_color(g: Graph) -> Optional[np.ndarray]:
+    """The colour of each vertex, or None if g has an odd cycle.
+
+    ``_roots`` on the bipartite double cover, in int32 where it fits: vertex
+    (v, c) is 2v + c, and each arc uv joins (u,0) to (v,1).  If r is the
+    smallest vertex of a component of g, (r,0) has root 2r and (r,1) root
+    2r + 1, so v's colour, 0 for r, is the parity of the root of (v,0).  An
+    odd cycle puts (v,0) and (v,1) in one cover component."""
+    index = np.int32 if g.n < 2**30 else np.int64
+    tails = np.repeat(np.arange(0, 2 * g.n, 2, dtype=index), np.diff(g.indptr))
+    root = _roots(2 * g.n, tails, 2 * g.nbrs.astype(index) + 1)
+    if (root[0::2] == root[1::2]).any():
         return None
-    comp = np.empty(g.n, dtype=np.int64)
-    comp[list(chain.from_iterable(comps))] = np.repeat(np.arange(len(comps)), list(map(len, comps)))
-    return color, comp
+    return root[0::2] & 1
 
 
 def bipartition(g: Graph) -> Optional[Bipartition]:
@@ -432,60 +446,50 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
 
     Per connected component the side of the lowest-index vertex is side_x.
     """
-    colored = _two_color(g)
-    if colored is None:
+    color = _two_color(g)
+    if color is None:
         return None
-    side_x, side_y = (frozenset(np.flatnonzero(colored[0] == c).tolist()) for c in (0, 1))
-    return Bipartition(side_x, side_y)
-
-
-def _biregular_pair(degs: np.ndarray, color: np.ndarray, comp: np.ndarray) -> Optional[tuple[int, int]]:
-    # Merge per-component side degrees into one global (a,b); a component with
-    # both sides nonempty pins the multiset, a singleton only demands that its
-    # degree (0) belongs to the pair.  ``side_deg`` keeps one degree per
-    # (component, colour); a side is regular iff every vertex agrees with it.
-    side = comp * 2 + color
-    side_deg = np.full(side.max() // 2 * 2 + 2, -1)
-    side_deg[side] = degs
-    if (side_deg[side] != degs).any():
-        return None
-    d0, d1 = side_deg[0::2], side_deg[1::2]
-    both = d1 >= 0  # a component without colour 1 is a singleton
-    lo, hi = np.minimum(d0, d1)[both], np.maximum(d0, d1)[both]
-    pinned = (int(lo[0]), int(hi[0])) if len(lo) else (0, 0)
-    if (lo != pinned[0]).any() or (hi != pinned[1]).any():
-        return None
-    singles = d0[~both]
-    if ((singles != pinned[0]) & (singles != pinned[1])).any():
-        return None
-    return pinned
+    return Bipartition(*(frozenset(np.flatnonzero(color == c).tolist()) for c in (0, 1)))
 
 
 def classify(g: Graph) -> ClassReport:
     """Degree-class report: even/odd graph flags, max degree, biregular
-    pair, and whether the graph is bipartite, all from one 2-colouring.
+    pair, and whether the graph is bipartite (``_two_color``).
 
-    ``biregular`` is present iff the graph is bipartite and admits a
-    bipartition with one side a-regular and the other b-regular (a <= b).
+    ``biregular`` is read off the degree values: one value d gives (d,d)
+    iff the graph is bipartite, two values a < b give (a,b) iff every edge
+    joins the two degree classes, and anything else gives None.
     """
     degs = np.diff(g.indptr)
-    odd = degs % 2 == 1
-    colored = _two_color(g)
-    bireg = _biregular_pair(degs, *colored) if colored is not None and g.n > 0 else None
-    max_degree = int(degs.max()) if g.n else 0
-    return ClassReport(not odd.any(), bool(odd.all()), max_degree, bireg, colored is not None)
+    values = np.flatnonzero(np.bincount(degs)).tolist()  # ascending
+    high = degs == (values[-1] if values else 0)
+    # The class of each arc's tail against that of its head.
+    joined = len(values) == 2 and bool((np.repeat(high, degs) != high[g.nbrs]).all())
+    bipartite = joined or _two_color(g) is not None  # two joined classes are two sides
+    pair = (values[0], values[-1]) if joined or (len(values) == 1 and bipartite) else None
+    even, odd = (all(d % 2 == r for d in values) for r in (0, 1))
+    return ClassReport(even, odd, values[-1] if values else 0, pair, bipartite)
 
 
 def bfs_distances(g: Graph, source: int) -> list[Optional[int]]:
     """Shortest-path edge counts from source; None for unreachable vertices."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
+    ptr, nbrs = memoryview(g.indptr), memoryview(g.nbrs)
     dist: list[Optional[int]] = [None] * g.n
-    next(_reach(g, [source], dist))
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the loop also visits what it appends
+        for v in nbrs[ptr[u] : ptr[u + 1]]:
+            if dist[v] is None:
+                dist[v] = dist[u] + 1
+                queue.append(v)
     return dist
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists per component, ordered by lowest member."""
-    dist: list[Optional[int]] = [None] * g.n
-    return [sorted(queue) for queue in _reach(g, range(g.n), dist)]
+    root = _roots(g.n, g.tails(), g.nbrs)
+    order = np.argsort(root, kind="stable")
+    bounds = np.append(np.flatnonzero(root[order] == order), g.n)  # each root leads its group
+    return [order[a:b].tolist() for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]

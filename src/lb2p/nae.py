@@ -60,18 +60,21 @@ class NaeInstance:
     @classmethod
     def from_clauses(cls, n: int, clauses: Sequence[Sequence[int]]) -> "NaeInstance":
         """The instance of ``clauses``.  Raises for the first clause that is
-        not 3 distinct variables of 0..n-1, else for the first variable
-        that does not occur 4 times."""
+        not 3 distinct integer variables of 0..n-1, else for the first
+        variable that does not occur 4 times."""
         if n < 1:
             raise NaeFormatError("empty", "instance must have at least one variable")
         wrong = np.flatnonzero(np.fromiter(map(len, clauses), np.int64, len(clauses)) != 3)
         rows = _int64_rows(clauses[: wrong[0] if len(wrong) else len(clauses)], 3)
-        for i in _suspects(rows, 0, n - 1) + wrong[:1].tolist():
+        # ``rows`` stops at the first clause of another length or with a non-integer.
+        for i in _suspects(rows, 0, n - 1) + [len(rows)] * (len(rows) < len(clauses)):
             c = clauses[i]
             if len(c) != 3 or len(set(c)) != 3:
                 raise NaeFormatError(
                     "duplicate-variable", f"clause {tuple(c)} must hold 3 distinct variables"
                 )
+            if i == len(rows):  # 3 distinct values, not all integers
+                raise NaeFormatError("malformed", f"non-integer variable in clause {tuple(c)}")
             for x in c:
                 if not (0 <= x < n):
                     raise NaeFormatError("range", f"variable {x + 1} out of range")

@@ -210,10 +210,11 @@ def reference_parse_graph(text: str) -> Graph:
 
 
 def reference_biregular_pair(g: Graph, color: list[int], comp: list[int]):
-    """The per-vertex loop behind ``classify``'s biregular pair, kept as an
-    oracle for ``graphs._biregular_pair``: per component and colour the set
-    of degrees; a component with both sides pins the sorted pair, and a
-    singleton only demands that its degree (0) belongs to the pair."""
+    """The per-vertex loop once behind ``classify``'s biregular pair, kept as
+    its oracle: per component and colour the set of degrees; a component
+    with both sides pins the sorted pair, and a singleton only demands that
+    its degree (0) belongs to the pair.  ``color`` and ``comp`` are those of
+    ``reference_two_color``."""
     ncomp = max(comp) + 1 if g.n else 0
     sides: list[tuple[set[int], set[int]]] = [(set(), set()) for _ in range(ncomp)]
     for v in range(g.n):
@@ -240,9 +241,9 @@ def reference_biregular_pair(g: Graph, color: list[int], comp: list[int]):
 
 def reference_two_color(g: Graph):
     """A BFS 2-colouring that tests each edge as it walks the tuple rows,
-    kept as an oracle for ``graphs._two_color``: (colour, component id)
-    lists, or None at the first edge inside one colour.  Roots are taken in
-    index order and coloured 0."""
+    kept as an oracle for the colours of ``graphs._two_color``: (colour,
+    component id) lists, or None at the first edge inside one colour.
+    Roots are taken in index order and coloured 0."""
     adj = adjacency(g)
     color = [-1] * g.n
     comp = [-1] * g.n
@@ -377,6 +378,8 @@ def reference_from_clauses(n: int, clauses) -> NaeInstance:
             raise NaeFormatError(
                 "duplicate-variable", f"clause {tuple(c)} must hold 3 distinct variables"
             )
+        if not all(isinstance(x, (int, np.integer)) for x in c):
+            raise NaeFormatError("malformed", f"non-integer variable in clause {tuple(c)}")
         for x in c:
             if not (0 <= x < n):
                 raise NaeFormatError("range", f"variable {x + 1} out of range")

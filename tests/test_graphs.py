@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     bipartite_witness_graph,
+    complete,
     complete_bipartite,
     cycle,
     disjoint_union,
@@ -31,7 +32,6 @@ from lb2p import (
 )
 from lb2p.graphs import (
     MAX_VERTICES,
-    _biregular_pair,
     _tokens,
     _two_color,
     connected_components,
@@ -203,6 +203,21 @@ def test_from_edges_reports_first_bad_edge():
         Graph.from_edges(MAX_VERTICES + 1, [])
     with pytest.raises(ValueError, match="pair"):
         Graph.from_edges(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"non-integer endpoint in edge \(0\.5,1\)"):
+        Graph.from_edges(3, [(0.5, 1)])
+    with pytest.raises(ValueError, match=r"non-integer endpoint in edge \('0','1'\)"):
+        Graph.from_edges(3, [("0", "1")])
+    with pytest.raises(ValueError, match=r"non-integer endpoint in edge \(1,2\.0\)"):
+        Graph.from_edges(3, [(0, 1), (1, 2.0), (5, 0)])
+    with pytest.raises(ValueError, match=r"non-integer endpoint in edge \(None,1\)"):
+        Graph.from_edges(3, [(0, 1), (None, 1)])
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        Graph.from_edges(3, np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"edge \(0,7\) out of range for n=3"):
+        Graph.from_edges(3, [(0, 7), (0.5, 1)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(0,1\)"):
+        Graph.from_edges(3, [(0, 1), (1, 0), (0.5, 1)])
+    assert Graph.from_edges(3, [(np.int32(0), 1), (True, 2)]).edges() == [(0, 1), (1, 2)]
     empty = Graph.from_edges(0, [])
     assert empty.indptr.tolist() == [0] and empty.nbrs.tolist() == []
     g = Graph.from_edges(3, iter([(2, 0), (1, 0)]))
@@ -368,25 +383,48 @@ def _bipartite_unions(rng: random.Random):
 def test_biregular_pair_matches_per_vertex_loop():
     pairs = nones = 0
     for g in _bipartite_unions(random.Random(2024)):
-        color, comp = _two_color(g)
-        expected = reference_biregular_pair(g, color, comp)
-        assert _biregular_pair(np.diff(g.indptr), color, comp) == expected
+        expected = reference_biregular_pair(g, *reference_two_color(g))
         assert classify(g).biregular == expected
         pairs += expected is not None
         nones += expected is None
     assert pairs >= 150 and nones >= 150
 
 
+def _ordered(order: np.ndarray, closed: bool) -> Graph:
+    """The path (or, if ``closed``, the cycle) visiting the vertices in ``order``."""
+    ends = np.stack((order, np.roll(order, -1)), axis=1)
+    return Graph.from_edges(len(order), ends if closed else ends[:-1])
+
+
 def _traversal_graphs(rng: random.Random):
     """Seeded graphs for the traversal references: n = 0, isolated vertices,
-    shuffled long paths and cycles (odd and even), shuffled disjoint unions
-    with odd cycles, the bipartite unions above, and each reduction of one
-    48-variable formula."""
+    shuffled long paths and cycles (odd and even), paths and cycles of 10**5
+    and 10**5 + 1 vertices in ascending, descending, zigzag and shuffled order,
+    20000 shuffled disjoint K2,3, unions of isolated vertices with regular
+    and biregular parts, shuffled disjoint unions with odd cycles, the
+    bipartite unions above, and each reduction of one 48-variable formula."""
     yield Graph.from_edges(0, [])
     yield Graph.from_edges(7, [])
     for n in (2, 999, 5000):
         yield disjoint_union([path(n)], rng)
         yield disjoint_union([cycle(n + 1)], rng)
+    for n in (10**5, 10**5 + 1):
+        up = np.arange(n)
+        zigzag = np.empty(n, dtype=np.int64)
+        zigzag[0::2], zigzag[1::2] = up[: (n + 1) // 2], up[::-1][: n // 2]
+        shuffled = up.copy()
+        np.random.default_rng(rng.randrange(2**32)).shuffle(shuffled)
+        # Down from the middle and on from the top: a cycle in any rotation
+        # or direction is the ascending one, so cycles skip this order.
+        down = np.roll(up[::-1], n // 2)
+        for order in (up, down, zigzag, shuffled):
+            yield _ordered(order, closed=False)
+            if order is not down:
+                yield _ordered(order, closed=True)
+    yield disjoint_union([complete_bipartite(2, 3)] * 20000, rng)
+    for isolated in (1, 3):
+        for part in (cycle(6), complete_bipartite(3, 3), complete(4), complete_bipartite(2, 3), random_biregular(4, 3, rng)):
+            yield disjoint_union([Graph.from_edges(isolated, []), part, part], rng)
     parts = (
         lambda: cycle(2 * rng.randint(1, 4) + 1),
         lambda: path(rng.randint(1, 6)),
@@ -408,8 +446,11 @@ def test_one_bfs_matches_reference_two_color_and_union_find():
         colored = _two_color(g)
         if expected is None:
             assert colored is None
+            assert classify(g).biregular is None
         else:
-            assert [a.tolist() for a in colored] == list(expected)
+            assert colored.tolist() == expected[0]
+            pair = reference_biregular_pair(g, *expected) if g.n else None
+            assert classify(g).biregular == pair
         assert connected_components(g) == reference_components(g)
         colourings += expected is not None
         nones += expected is None

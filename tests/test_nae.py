@@ -225,6 +225,14 @@ CLAUSE_LISTS = [
     (6, [[3, 4, 5], [0, 1, 2], [5, 4, 3], [2, 1, 0], [0, 1, 2], [3, 4, 5], [0, 2, 1], [4, 3, 5]]),
     (6, [(3, 4, 5), (0, 1, 2), (5, 4, 3), (2, 1, 0), (0, 1, 2), (3, 4, 5), (0, 2, 1), (4, 3, 0)]),
     (6, np.array([(3, 4, 5), (0, 1, 2), (5, 4, 3), (2, 1, 0), (0, 1, 2), (3, 4, 5), (0, 2, 1), (4, 3, 5)])),
+    (3, [(0.5, 1, 2)] * 4),
+    (3, [(0, 1, 2), ("0", "1", "2"), (0, 1, 2), (0, 1, 2)]),
+    (3, [(0, 1, 2), (0, 1, 2.0), (0, 1, 5), (0, 1)]),
+    (3, [(0, 1, 5), (0.5, 1, 2), (0, 1, 2), (0, 1, 2)]),
+    (3, [(0, 1, 2), (0.5, 0.5, 1), (0, 1, 2), (0, 1, 2)]),
+    (3, [(0, 1, 2), (0, 1), (None, 1, 2), (0, 1, 2)]),
+    (3, [(0, 1, 2), (10**20, 1, 0.5), (0, 1, 2), (0, 1, 2)]),
+    (3, np.array([(0, 1, 2)] * 4, dtype=float)),
 ]
 
 
