@@ -13,7 +13,6 @@ from .biregular import (
     NotApplicable,
     Witness,
     build_reduced,
-    has_bad_cycle,
     kk1_factor,
     solve_biregular,
     validate_2odd_biregular,

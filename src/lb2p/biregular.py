@@ -51,7 +51,6 @@ __all__ = [
     "build_reduced",
     "kk1_factor",
     "solve_biregular",
-    "has_bad_cycle",
     "extract_cycle_2mod4",
 ]
 
@@ -305,18 +304,6 @@ def _conflict_walk(g: Graph, parent: list[int], x: int) -> list[int]:
         up.append(u)
         down.append(w)
     return up + down[-2::-1] + [x]
-
-
-def has_bad_cycle(g: Graph) -> bool:
-    """True iff the validated graph has a cycle of length ≡ 2 (mod 4).
-
-    Equivalent to the reduced multigraph having an odd cycle; this
-    equivalence depends on the degree-2 side and holds only for this class.
-    """
-    va = validate_2odd_biregular(g)
-    if isinstance(va, NotApplicable):
-        raise ValueError(f"not applicable: {va.reason}")
-    return _bfs(g)[2] >= 0
 
 
 def solve_biregular(g: Graph) -> Union[Witness, Certificate, NotApplicable]:

@@ -10,17 +10,17 @@ the rows of the ``REDUCTIONS`` table:
 Every constructor verifies its gadget contracts first and checks its class
 postconditions on one ``classify`` report, which the artifact keeps.  The
 table row's layout is the role map: its blocks, placed one after another,
-give every vertex a tagged role by offset, so a ``.roles`` file is its
-header plus the records the header determines, and ``read_artifact``
-accepts exactly those records.  The role map supports the two directional
-maps: a satisfying assignment lifts to a checker-valid partition, and a
-valid partition projects back to a satisfying assignment.  Both maps check
-their result and raise, never assert, when the graph disagrees with its
-roles.  Every step is block arithmetic over numpy arrays, with no Python
-step per vertex or edge: a constructor broadcasts its template edges over
-the copies, the lift fills each template slot's strided slice of one
-label array, the extract reshapes block 0, and one %-format per block
-writes the records.
+give every vertex a tagged role by offset.  So a ``.roles`` file is one
+header line, ``reduction=... mode=... n=... k=... r=...``, and
+``read_artifact`` refuses any line below it.  The role map supports the
+two directional maps: a satisfying assignment lifts to a checker-valid
+partition, and a valid partition projects back to a satisfying
+assignment.  Both maps check their result and raise, never assert, when
+the graph disagrees with its roles.  Every step is block arithmetic over
+numpy arrays, with no Python step per vertex or edge: a constructor
+broadcasts its template edges over the copies, the lift fills each
+template slot's strided slice of one label array, and the extract
+reshapes block 0.
 
 Vertex layout is chosen so the exact solver's index-order branching performs
 well: variable vertices (or whole gadget blocks, in the closed
@@ -124,18 +124,6 @@ def _pairs(u, v) -> np.ndarray:
     """The pairs (u, v) of two index arrays broadcast together, as rows."""
     u, v = np.broadcast_arrays(u, v)
     return np.stack((u.ravel(), v.ravel()), axis=1)
-
-
-def _records(blocks: Sequence[Block]) -> str:
-    """The role-map body below the header: per vertex one line 'vertex tag i'
-    plus the role's further indices.  Each block is one %-format of its
-    template's lines, repeated per copy, over (vertex, copy) pairs."""
-    body = []
-    for first, template, count in blocks:
-        lines = "".join(f"%d {tag} %d{''.join(f' {x}' for x in rest)}\n" for tag, rest in template)
-        vertices = first + np.arange(count * len(template)).reshape(count, len(template))
-        body.append((lines * count) % tuple(_pairs(vertices, np.arange(count)[:, None]).ravel().tolist()))
-    return "".join(body)
 
 
 def _copies(local, first: int, width: int, count: int) -> np.ndarray:
@@ -404,8 +392,7 @@ def partition_to_assignment(artifact: ReductionArtifact, partition: TwoPartition
     return tuple(inputs[:, 0].tolist())
 
 
-# The header line, ended where str.splitlines ends a line of ASCII text
-_HEADER_RE = re.compile(r"reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)(?=[\n\r\x0b\x0c\x1c-\x1e]|\Z)")
+_HEADER_RE = re.compile(r"reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)")
 
 
 def artifact_paths(base: Union[str, Path]) -> tuple[Path, Path]:
@@ -415,26 +402,24 @@ def artifact_paths(base: Union[str, Path]) -> tuple[Path, Path]:
 
 
 def write_artifact(artifact: ReductionArtifact, base: Union[str, Path]) -> tuple[Path, Path]:
-    """Write <base>.graph (canonical edge list) and <base>.roles sidecar."""
+    """Write <base>.graph (canonical edge list) and <base>.roles, the one
+    header line that, with the table row's layout, gives every vertex its role."""
     graph_path, roles_path = artifact_paths(base)
     graph_path.write_text(serialize_graph(artifact.graph), encoding="ascii")
-    name, n, k, r = artifact.name, artifact.n_vars, artifact.n_clauses, artifact.r
-    header = f"reduction={name} mode={artifact.mode} n={n} k={k} r={r}\n"
-    roles_path.write_text(header + _records(_blocks(name, n, k, r)[0]), encoding="ascii")
+    a = artifact
+    roles_path.write_text(f"reduction={a.name} mode={a.mode} n={a.n_vars} k={a.n_clauses} r={a.r}\n", encoding="ascii")
     return graph_path, roles_path
 
 
 def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
-    """Read <base>.graph and <base>.roles.  The header fixes every record,
-    so the lines must be exactly those write_artifact writes, as
-    str.splitlines reads them; the text is compared with the body the
-    header gives, as a whole and line by line only when that differs."""
+    """Read <base>.graph and <base>.roles.  The role map is its header line
+    alone, as str.splitlines reads the text: any line below it, such as a
+    per-vertex record of an older artifact, is refused."""
     graph_path, roles_path = artifact_paths(base)
     graph = parse_graph(graph_path.read_text(encoding="ascii"))
-    text = roles_path.read_text(encoding="ascii")
-    m = _HEADER_RE.match(text)
+    lines = roles_path.read_text(encoding="ascii").splitlines()
+    m = _HEADER_RE.fullmatch(lines[0]) if lines else None
     if not m:
-        lines = text.splitlines()
         raise RoleMapError(f"bad role-map header: {lines[0]!r}" if lines else "empty role map")
     name, mode = m.group(1, 2)
     n, k, r = map(int, m.group(3, 4, 5))
@@ -448,15 +433,9 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
     # has n + 2rk >= 3 + 8r vertices, so a larger r is refused before that.
     if r > graph.n:
         raise RoleMapError(f"r={r} exceeds the graph's {graph.n} vertices")
-    blocks, order = _blocks(name, n, k, r)
+    order = _blocks(name, n, k, r)[1]
     if order != graph.n:
         raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")
-    body = _records(blocks)
-    if text[m.end() :] != "\n" + body:  # then line by line, as str.splitlines reads the text
-        got, want = text.splitlines()[1:], body.splitlines()
-        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
-        if i < max(len(got), len(want)):
-            expected = repr(want[i]) if i < len(want) else "end of file"
-            found = repr(got[i]) if i < len(got) else "end of file"
-            raise RoleMapError(f"line {i + 2}: expected {expected}, found {found}")
+    if len(lines) > 1:
+        raise RoleMapError(f"line 2: expected end of file, found {lines[1]!r}")
     return ReductionArtifact(name, mode, graph, n, k, r)

@@ -1,5 +1,5 @@
 """The reduction artifacts on disk: the layout fixed by the header, the
-exact records read_artifact accepts, and what lift/extract do when the
+one header line read_artifact accepts, and what lift/extract do when the
 graph or role map has been edited."""
 
 import hashlib
@@ -52,36 +52,36 @@ def test_roles_match_layout_and_constructors(tmp_path, name):
             art = reduce_by_name(name, inst, r)
             assert art.r == r
             _, roles_path = write_artifact(art, tmp_path / name)
-            records = roles_path.read_text().splitlines()[1:]
-            assert records == [
-                " ".join([str(v), tag, *map(str, idx)]) for v, (tag, idx) in enumerate(reference_roles(art))
-            ]
+            mode = REDUCTIONS[name].mode
+            assert roles_path.read_text() == f"reduction={name} mode={mode} n={inst.n} k={inst.k} r={r}\n"
 
 
-# sha256 prefixes of the .graph bytes followed by the .roles bytes, recorded
-# before the constructors read occurrence_slots and the role layout
+# sha256 prefixes of the .graph bytes, recorded while .roles still held a
+# record per vertex below its header
 DIGESTS = {
-    (6, "bireg"): "3f8080a0fa5c62b5",
-    (6, "even"): "8627acfeaa81ed0d",
-    (6, "subcubic"): "c9e027791ddf67d6",
-    (6, "odd"): "cc270f66ed809bde",
-    (24, "bireg"): "d9fdfe2fed30b302",
-    (24, "even"): "eeda733abc63ea62",
-    (24, "subcubic"): "699ca351ca5c55b3",
-    (24, "odd"): "c0dd54fda19c36b9",
-    (96, "bireg"): "1890d3dc3f68d5db",
-    (96, "even"): "4f557cf4b0110cc5",
-    (96, "subcubic"): "e24903aea835751e",
-    (96, "odd"): "7278b136ceb77aa8",
+    (6, "bireg"): "c985835b5c9d9fb3",
+    (6, "even"): "a87fb8c04235c7fd",
+    (6, "subcubic"): "63a6722449fe2ea7",
+    (6, "odd"): "bd67b3d470a0a492",
+    (24, "bireg"): "81ab16b40a0f50af",
+    (24, "even"): "057938b3d7c3fd82",
+    (24, "subcubic"): "4cdbf39f06375f87",
+    (24, "odd"): "02c623d83fb6f221",
+    (96, "bireg"): "3c187e6e86b9ba85",
+    (96, "even"): "e0891b38bfb78731",
+    (96, "subcubic"): "411df2fa1a085033",
+    (96, "odd"): "cef2c338b2441804",
 }
 
 
 @pytest.mark.parametrize("n, name", sorted(DIGESTS))
 def test_artifact_bytes_unchanged(tmp_path, n, name):
     inst = random_nae_instance(n, random.Random(f"digest:{n}"))
-    graph_path, roles_path = write_artifact(reduce_by_name(name, inst), tmp_path / name)
-    digest = hashlib.sha256(graph_path.read_bytes() + roles_path.read_bytes()).hexdigest()
-    assert digest[:16] == DIGESTS[(n, name)]
+    art = reduce_by_name(name, inst)
+    graph_path, roles_path = write_artifact(art, tmp_path / name)
+    assert hashlib.sha256(graph_path.read_bytes()).hexdigest()[:16] == DIGESTS[(n, name)]
+    r = 1 if name == "bireg" else 0
+    assert roles_path.read_text() == f"reduction={name} mode={art.mode} n={n} k={inst.k} r={r}\n"
 
 
 def _lines_edit(edit):
@@ -93,25 +93,26 @@ def _lines_edit(edit):
     return tamper
 
 
-def _swap(lines, a, b):
-    lines[a], lines[b] = lines[b], lines[a]
-
-
 def _graph_n_plus_one(graph_text, roles_text):
     head, _, rest = graph_text.partition("\n")
     n, m = map(int, head.split())
     return f"{n + 1} {m}\n{rest}", roles_text
 
 
-# each edit applies to the subcubic artifact of CANONICAL_N3; line 2 is
-# '0 g 0 0' and line 6 is '4 p 0 1'
+def _old_body(graph_text, roles_text):
+    """The role map as older versions wrote it: below the header, one record
+    'vertex tag i ...' per vertex of the subcubic artifact of CANONICAL_N3."""
+    roles = reference_roles(reduce_by_name("subcubic", parse_nae(CANONICAL_N3)))
+    records = (" ".join([str(v), tag, *map(str, idx)]) + "\n" for v, (tag, idx) in enumerate(roles))
+    return graph_text, roles_text + "".join(records)
+
+
+# each edit applies to the subcubic artifact of CANONICAL_N3, whose role map
+# is its header line alone: "missing-record" drops that line
 TAMPERS = {
-    "tag": _lines_edit(lambda lines: lines.__setitem__(5, "4 g 0 1")),
-    "index": _lines_edit(lambda lines: lines.__setitem__(5, "4 p 0 2")),
-    "vertex": _lines_edit(lambda lines: lines.__setitem__(5, "5 p 0 1")),
+    "old-body": _old_body,
     "extra-record": _lines_edit(lambda lines: lines.append(f"{len(lines) - 1} q 4")),
     "missing-record": _lines_edit(lambda lines: lines.pop()),
-    "reordered": _lines_edit(lambda lines: _swap(lines, 1, 2)),
     "blank-line": _lines_edit(lambda lines: lines.insert(3, "")),
     "name": _lines_edit(lambda lines: lines.__setitem__(0, lines[0].replace("subcubic", "odd"))),
     "mode": _lines_edit(lambda lines: lines.__setitem__(0, lines[0].replace("closed", "open"))),
@@ -194,10 +195,26 @@ def test_any_header_over_a_small_graph_reads_or_raises_quickly(tmp_path, name, n
     assert time.perf_counter() - start < 1.0
 
 
-def test_role_map_error_names_first_difference(subcubic):
-    _apply(subcubic, TAMPERS["tag"])
-    with pytest.raises(RoleMapError, match=r"^line 6: expected '4 p 0 1', found '4 g 0 1'$"):
+def test_artifact_with_old_body_refused(subcubic, capsys):
+    """An artifact whose role map holds the per-vertex records older versions
+    wrote is refused at its first record: by read_artifact, and by lb2p lift
+    and extract with exit 2 and nothing on stdout, also under python -O."""
+    _apply(subcubic, TAMPERS["old-body"])
+    message = "line 2: expected end of file, found '0 g 0 0'"
+    with pytest.raises(RoleMapError, match=f"^{message}$"):
         read_artifact(subcubic)
+    tmp = subcubic.parent
+    for argv in (["lift", str(subcubic), str(tmp / "asg")], ["extract", str(subcubic), str(tmp / "part")]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "lb2p.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_crlf_role_map_reads(tmp_path):
@@ -235,19 +252,10 @@ def test_lift_rejects_graph_that_breaks_its_check(tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("edit", ["tag", "extra-edge"])
-def test_lift_under_optimize_flag(tmp_path, edit):
+def test_lift_under_optimize_flag(tmp_path):
     """Under python -O a lift of an edited artifact still exits 2 and prints
     no partition: no check of the lift rests on an assert."""
-    if edit == "tag":
-        art = reduce_by_name("even", parse_nae(CANONICAL_N3))
-        base = tmp_path / "even"
-        write_artifact(art, base)
-        roles = Path(f"{base}.roles")
-        roles.write_text(roles.read_text().replace("\n0 p 0 1\n", "\n0 q 0 1\n"))
-        (tmp_path / "asg").write_text("001\n")
-    else:
-        base, _ = _bireg_with_extra_edge(tmp_path)
+    base, _ = _bireg_with_extra_edge(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "lb2p.cli", "lift", str(base), str(tmp_path / "asg")],
         capture_output=True,
@@ -417,21 +425,18 @@ def _read_outcome(read, *args):
 
 @pytest.mark.parametrize("edit", sorted(ROLE_EDITS))
 def test_read_artifact_accepts_exactly_what_the_line_compare_accepts(tmp_path, edit):
-    """Each edit of a written role map, at the header, the first, a middle
-    and the last record, is accepted by read_artifact exactly when the
-    line-by-line reference accepts it; otherwise both raise the same
-    RoleMapError message."""
+    """Each edit of a written role map at its one line, the header, is
+    accepted by read_artifact exactly when the line-by-line reference
+    accepts it; otherwise both raise the same RoleMapError message."""
     for name, r in (("bireg", 1), ("bireg", 2), ("even", 0), ("subcubic", 0), ("odd", 0)):
         art = reduce_by_name(name, parse_nae(CANONICAL_N3), max(r, 1))
         base = tmp_path / name
         _, roles_path = write_artifact(art, base)
         lines = roles_path.read_text().splitlines()
-        for i in sorted({0, 1, len(lines) // 2, len(lines) - 1}):
-            text = ROLE_EDITS[edit](list(lines), ["\n"] * len(lines), i)
-            roles_path.write_bytes(text.encode("ascii"))
-            read_text = roles_path.read_text(encoding="ascii")
-            want = _read_outcome(reference_read_roles, read_text, art.graph.n)
-            assert _read_outcome(read_artifact, base) == want, (name, r, i)
+        text = ROLE_EDITS[edit](list(lines), ["\n"] * len(lines), 0)
+        roles_path.write_bytes(text.encode("ascii"))
+        want = _read_outcome(reference_read_roles, roles_path.read_text(encoding="ascii"), art.graph.n)
+        assert _read_outcome(read_artifact, base) == want, (name, r)
 
 
 def test_read_artifact_matches_the_line_compare_on_random_edits(tmp_path):

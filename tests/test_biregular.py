@@ -32,7 +32,6 @@ from lb2p import (
     brute_force,
     build_reduced,
     check,
-    has_bad_cycle,
     kk1_factor,
     solve_biregular,
     validate_2odd_biregular,
@@ -256,7 +255,7 @@ def test_certificate_path_and_class_test_verdicts():
     rng = random.Random(29)
     g = random_biregular(200, 9, rng)
     assert isinstance(solve_biregular(g), Certificate)
-    assert has_bad_cycle(g)
+    assert reference_solve_biregular(g)[1]
     inside = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert isinstance(validate_2odd_biregular(inside), NotApplicable)
 
@@ -276,11 +275,12 @@ def test_solve_c6_not_applicable():
 
 
 def test_has_bad_cycle_examples():
-    assert has_bad_cycle(complete_bipartite(2, 3)) is False
-    assert has_bad_cycle(subdivide(complete(4))) is True
-    assert has_bad_cycle(subdivide(complete_bipartite(3, 3))) is False
-    with pytest.raises(ValueError):
-        has_bad_cycle(cycle(6))
+    """A cycle of length 2 (mod 4) gives a certificate, its absence a
+    witness; C6 is outside the class."""
+    assert isinstance(solve_biregular(complete_bipartite(2, 3)), Witness)
+    assert isinstance(solve_biregular(subdivide(complete(4))), Certificate)
+    assert isinstance(solve_biregular(subdivide(complete_bipartite(3, 3))), Witness)
+    assert isinstance(solve_biregular(cycle(6)), NotApplicable)
 
 
 def test_dichotomy_and_mutual_exclusion():
@@ -290,7 +290,7 @@ def test_dichotomy_and_mutual_exclusion():
         m = rng.choice([2, 4]) if b == 5 else rng.choice([4, 6])
         g = random_biregular(m, b, rng)
         res = solve_biregular(g)
-        bad = has_bad_cycle(g)
+        bad = reference_solve_biregular(g)[1]
         if bad:
             assert isinstance(res, Certificate)
             assert len(res.cycle.vertices) % 4 == 2
@@ -385,14 +385,13 @@ def _interleaved_graphs(rng, count):
 
 
 def test_search_matches_contraction_route():
-    """The one BFS over the graph gives the same certificate cycle, the same
-    witness and the same has_bad_cycle verdict as BFS 2-colouring the whole
-    contraction, on graphs whose parts interleave in index order."""
+    """The one BFS over the graph gives the same certificate cycle and the
+    same witness as BFS 2-colouring the whole contraction, on graphs whose
+    parts interleave in index order."""
     seen = {"cert": 0, "witness": 0, "disconnected": 0, "parallel": 0}
     for g, parts in _interleaved_graphs(random.Random(4099), 2000):
         expected, bad = reference_solve_biregular(g)
         assert solve_biregular(g) == expected
-        assert has_bad_cycle(g) is bad
         seen["cert" if bad else "witness"] += 1
         seen["disconnected"] += parts > 1
         pairs = [a for a in adjacency(g) if len(a) == 2]
@@ -406,7 +405,7 @@ def test_build_reduced_matches_vertex_by_vertex_reference():
     same provenance of each edge and the same edge ends."""
     seen = {"witness": 0, "parallel": 0}
     for g, _ in _interleaved_graphs(random.Random(4099), 1000):
-        if has_bad_cycle(g):
+        if isinstance(solve_biregular(g), Certificate):
             continue
         ends, xs = build_reduced(g)
         expected_ends, expected_xs = reference_build_reduced(g)
@@ -447,7 +446,6 @@ def test_search_matches_contraction_route_at_1e5_vertices():
     expected, bad = reference_solve_biregular(g)
     assert bad and isinstance(expected, Certificate)
     assert solve_biregular(g) == expected
-    assert has_bad_cycle(g)
 
 
 def test_many_components_witness_is_linear():

@@ -329,8 +329,9 @@ def test_read_artifact_rejects_partial_roles(tmp_path, n3):
     base = tmp_path / "art"
     _, roles_path = write_artifact(art, base)
     lines = roles_path.read_text().splitlines()
+    # the role map is its header line alone, so this drops the header
     roles_path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(RoleMapError):
+    with pytest.raises(RoleMapError, match="^bad role-map header: ''$"):
         read_artifact(base)
 
 
