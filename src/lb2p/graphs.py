@@ -9,11 +9,13 @@ on the graph, and the 2-colouring of ``bipartition`` and ``classify`` on
 the bipartite double cover.  ``bfs_distances`` keeps a queue of its own.
 A ``Graph`` is immutable.
 
-``_scan`` reads a graph or formula file once in numpy, with no Python string
-per line or token: a header line, then rows of a fixed number of integers.
-``parse_graph`` and ``nae.parse_nae`` both call it.  One numpy pass over the
-endpoints (shared with ``Graph.from_edges``) checks range, loops and repeats
-and sorts the arcs.
+``_scan`` reads a graph or formula file in numpy, with no Python string per
+line or token: a header line, then rows of a fixed number of integers.  A
+plain file (digits, single spaces and "\\n", as ``serialize_graph`` writes)
+passes one structure check and is converted by one ``np.fromstring``; any
+other is tokenised exactly.  ``parse_graph`` and ``nae.parse_nae`` call it.
+One numpy pass over the endpoints (shared with ``Graph.from_edges``) checks
+range, loops and repeats and sorts the arcs.
 """
 
 from __future__ import annotations
@@ -331,13 +333,42 @@ class _Scan:
 
 
 def _scan(text: str, width: int) -> _Scan:
-    """Read ``text`` as a header line, then rows of ``width`` integers.
+    """Read ``text`` as a header line, then rows of ``width`` integers: the
+    lines of ``str.splitlines``, the tokens of ``str.split`` and ``int()`` of
+    each.  ``_plain_scan`` reads a plain document, ``_exact_scan`` any."""
+    return _plain_scan(text, width) or _exact_scan(text, width)
 
-    Lines and tokens are those of ``str.splitlines`` and ``str.split``, and
-    values are ``int()`` of their tokens, but the document is scanned once in
-    numpy: the whitespace positions give the token bounds, each token's line
-    and each line's token count.  Lines without a token are skipped.
-    """
+
+def _plain_scan(text: str, width: int) -> Optional[_Scan]:
+    """The scan of a plain document, None for any other: ASCII, a header line
+    that is its tokens joined by single spaces, then rows of ``width`` runs
+    of 1 to 18 digits joined by single spaces, every line ended by "\\n".
+    One check of the bytes below "0" leaves ``np.fromstring`` only text it
+    reads to the end."""
+    top = text.find("\n")
+    if top < 0 or text[-1] != "\n" or not text.isascii() or not text[:top].isprintable():
+        return None
+    head = text[:top].split()  # only a printable line: a text of "\r" line ends is not split whole
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[top + 1 :]
+    seps = np.flatnonzero(codes < ord("0"))
+    k = len(seps) // width
+    if len(codes) and codes.max() > ord("9") or len(seps) != k * width or " ".join(head) != text[:top]:
+        return None
+    gaps = np.diff(seps, prepend=-1)  # each token's length, plus one
+    row = [ord(" ")] * (width - 1) + [ord("\n")]  # the separators of one row
+    if k and ((codes[seps].reshape(k, width) != row).any() or gaps.min() < 2 or gaps.max() > 19):
+        return None
+    index = np.int32 if len(text) < 2**31 else np.int64  # as in ``_tokens``
+    breaks = np.append(top, seps[width - 1 :: width] + (top + 1)).astype(index)
+    del codes, seps, gaps
+    rows = np.fromstring(text[top + 1 :], dtype=np.int64, sep=" ").reshape(k, width)
+    return _Scan(text, breaks, head, rows, np.arange(2, k + 2, dtype=index), None, True)
+
+
+def _exact_scan(text: str, width: int) -> _Scan:
+    """``_scan`` of any document, scanned once in numpy: the whitespace
+    positions give the token bounds, each token's line and each line's
+    token count.  Lines without a token are skipped."""
     codes, starts, stops, line_of, breaks = _tokens(text)
     widths = np.bincount(line_of, minlength=1)
     top = int(widths[0])

@@ -393,6 +393,7 @@ def partition_to_assignment(artifact: ReductionArtifact, partition: TwoPartition
 
 
 _HEADER_RE = re.compile(r"reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)")
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # those of str.splitlines
 
 
 def artifact_paths(base: Union[str, Path]) -> tuple[Path, Path]:
@@ -413,14 +414,16 @@ def write_artifact(artifact: ReductionArtifact, base: Union[str, Path]) -> tuple
 
 def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
     """Read <base>.graph and <base>.roles.  The role map is its header line
-    alone, as str.splitlines reads the text: any line below it, such as a
-    per-vertex record of an older artifact, is refused."""
+    alone, as str.splitlines cuts the text (only two lines are cut out): any
+    line below it, such as a per-vertex record of an older artifact, is refused."""
     graph_path, roles_path = artifact_paths(base)
     graph = parse_graph(graph_path.read_text(encoding="ascii"))
-    lines = roles_path.read_text(encoding="ascii").splitlines()
-    m = _HEADER_RE.fullmatch(lines[0]) if lines else None
+    text = roles_path.read_text(encoding="ascii")
+    end = _LINE_END.search(text)
+    header, rest = (text[: end.start()], end.end()) if end else (text, len(text))
+    m = _HEADER_RE.fullmatch(header) if text else None
     if not m:
-        raise RoleMapError(f"bad role-map header: {lines[0]!r}" if lines else "empty role map")
+        raise RoleMapError(f"bad role-map header: {header!r}" if text else "empty role map")
     name, mode = m.group(1, 2)
     n, k, r = map(int, m.group(3, 4, 5))
     if name not in REDUCTIONS:
@@ -436,6 +439,7 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
     order = _blocks(name, n, k, r)[1]
     if order != graph.n:
         raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")
-    if len(lines) > 1:
-        raise RoleMapError(f"line 2: expected end of file, found {lines[1]!r}")
+    if rest < len(text):
+        end = _LINE_END.search(text, rest)
+        raise RoleMapError(f"line 2: expected end of file, found {text[rest : end.start() if end else None]!r}")
     return ReductionArtifact(name, mode, graph, n, k, r)

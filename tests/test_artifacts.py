@@ -464,6 +464,26 @@ def test_read_artifact_matches_the_line_compare_on_random_edits(tmp_path):
     assert 0 < accepted < 2000
 
 
+def test_read_artifact_cuts_lines_as_splitlines(tmp_path):
+    """read_artifact cuts only the first two lines out of the role map, at
+    the line boundaries of str.splitlines: every boundary that survives
+    universal-newline reading, alone, doubled and before a second line, with
+    and without a final boundary, gives the reference's outcome."""
+    art = reduce_by_name("even", parse_nae(CANONICAL_N3))
+    base = tmp_path / "even"
+    _, roles_path = write_artifact(art, base)
+    header = roles_path.read_text().rstrip("\n")
+    outcomes = set()
+    for end in "\n\x0b\x0c\x1c\x1d\x1e":
+        for tail in ("", end, end + end, end + "rec", end + "rec" + end, end + "rec" + end + "more", end + " " + end):
+            for text in (header + tail, header[:-1] + tail):
+                roles_path.write_bytes(text.encode("ascii"))
+                want = _read_outcome(reference_read_roles, roles_path.read_text(encoding="ascii"), art.graph.n)
+                assert _read_outcome(read_artifact, base) == want, text
+                outcomes.add(want.split(":")[0])
+    assert outcomes == {"accepted", "line 2", "bad role-map header"}
+
+
 def _bireg_with_monochrome_clauses(rng):
     """A bireg (r = 1) artifact, an assignment with two monochrome clauses
     j1 < j2, and the lift-rule partition of that assignment (p labels from

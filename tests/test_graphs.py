@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CANONICAL_N3,
     bipartite_witness_graph,
     complete,
     complete_bipartite,
@@ -19,19 +21,25 @@ from helpers import (
     reference_biregular_pair,
     reference_components,
     reference_parse_graph,
+    reference_parse_nae,
     reference_two_color,
 )
 from lb2p import (
     Graph,
     GraphFormatError,
+    NaeFormatError,
     bfs_distances,
     bipartition,
     classify,
     parse_graph,
+    parse_nae,
     serialize_graph,
+    serialize_nae,
 )
 from lb2p.graphs import (
     MAX_VERTICES,
+    _exact_scan,
+    _plain_scan,
     _tokens,
     _two_color,
     connected_components,
@@ -190,6 +198,103 @@ def test_character_classes_match_str_methods():
         space = np.flatnonzero(np.cumsum(inside[:-1]) == 0).tolist()
         assert space == [c for c, ch in enumerate(text) if ch.isspace()]
         assert breaks.tolist() == [c for c in space if len(f"a{text[c]}b".splitlines()) == 2]
+
+
+def _scan_fields(scan):
+    """Every field of a scan, its dtypes, ``nlines`` and each ``line(i)``."""
+    arrays = (scan.breaks, scan.rows, scan.lines)
+    lines = [scan.line(i) for i in range(1, len(scan.breaks) + 2)]
+    return scan.text, scan.head, scan.bad, scan.bad_width, scan.nlines, lines, [(a.dtype, a.tolist()) for a in arrays]
+
+
+_BIG_TOKEN = "9" * 18  # the longest token the plain route reads
+
+
+def _plain_documents() -> list[tuple[str, int]]:
+    """Plain documents and their row width: ``serialize_graph`` and
+    ``serialize_nae`` output, empty bodies and 18-digit tokens."""
+    rng = random.Random(37)
+    docs = [(serialize_graph(erdos_renyi(n, p, rng)), 2) for n in (0, 1, 2, 7, 30) for p in (0.0, 0.3, 0.9)]
+    docs += [(serialize_nae(random_nae_instance(n, rng)), 3) for n in (3, 6, 30, 300)]
+    docs += [(serialize_graph(reduce_by_name("subcubic", random_nae_instance(6, rng)).graph), 2)]
+    docs += [("0 0\n", 2), ("p nae3 0 0\n", 3), ("\n", 2), ("x\n", 3), (CANONICAL_N3, 3)]
+    docs += [(f"3 2\n{_BIG_TOKEN} 0\n7 {_BIG_TOKEN}\n", 2), (f"p nae3 1 1\n1 {_BIG_TOKEN} 0\n", 3)]
+    return docs
+
+
+_ROW_EDITS = {
+    "crlf": lambda row: row.replace("\n", "\r\n"),
+    "cr": lambda row: row.replace("\n", "\r"),
+    "vt": lambda row: row.replace("\n", "\x0b"),
+    "fs": lambda row: row.replace("\n", "\x1c"),
+    "nel": lambda row: row.replace("\n", "\x85"),
+    "trailing-space": lambda row: row.replace("\n", " \n"),
+    "tab": lambda row: row.replace(" ", "\t", 1),
+    "double-space": lambda row: row.replace(" ", "  ", 1),
+    "blank-line": lambda row: row + "\n",
+    "19-digit": lambda row: "1" + "0" * 18 + row[row.index(" ") :],
+    "plus": lambda row: "+5" + row[row.index(" ") :],
+    "minus": lambda row: "-1" + row[row.index(" ") :],
+    "underscore": lambda row: "1_0" + row[row.index(" ") :],
+}
+_WHOLE_EDITS = {
+    "no-final-newline": lambda text: text[:-1],
+    "header-two-spaces": lambda text: text.replace(" ", "  ", 1),
+    "header-tab": lambda text: text.replace(" ", "\t", 1),
+    "header-without-newline": lambda text: text[: text.index("\n")],
+    "cr-lines": lambda text: text[:-1].replace("\n", "\r") + "\n",  # one line, as long as the text
+}
+
+
+def _neighbours(text: str, rng: random.Random) -> list[tuple[str, str]]:
+    """One-edit neighbours of a plain document that the plain route must
+    refuse, each with its name: row edits on a random row, and edits of
+    the header (if it holds a space) or of the end."""
+    head, *rows = text.splitlines(keepends=True)
+    out = [(name, edit(text)) for name, edit in _WHOLE_EDITS.items() if edit(text) != text]
+    if rows:
+        for name, edit in _ROW_EDITS.items():
+            i = rng.randrange(len(rows))
+            out.append((name, "".join([head, *rows[:i], edit(rows[i]), *rows[i + 1 :]])))
+    return out
+
+
+def test_plain_scan_equals_exact_scan():
+    """On plain documents the plain route gives the exact route's scan in
+    every field; on their one-edit neighbours it steps aside."""
+    rng = random.Random(7)
+    kinds = set()
+    # Headers of 18-digit counts only here: the reference parsers allocate by n.
+    for text, width in _plain_documents() + [(f"{_BIG_TOKEN} {_BIG_TOKEN}\n1 2\n", 2)]:
+        plain = _plain_scan(text, width)
+        assert plain is not None, text
+        assert _scan_fields(plain) == _scan_fields(_exact_scan(text, width))
+        for name, edited in _neighbours(text, rng):
+            kinds.add(name)
+            assert _plain_scan(edited, width) is None, (name, edited)
+    assert kinds == set(_ROW_EDITS) | set(_WHOLE_EDITS)
+
+
+def test_neighbours_of_plain_documents_parse_without_warnings():
+    """``np.fromstring`` warns on text it cannot read to the end: the plain
+    route must never hand it a neighbour of a plain document."""
+    rng = random.Random(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, width in _plain_documents():
+            parse, reference, error = (
+                (parse_graph, reference_parse_graph, GraphFormatError)
+                if width == 2
+                else (parse_nae, reference_parse_nae, NaeFormatError)
+            )
+            for edited in [text] + [edited for _, edited in _neighbours(text, rng)]:
+                outcomes = []
+                for read in (parse, reference):
+                    try:
+                        outcomes.append(read(edited))
+                    except error as exc:
+                        outcomes.append((exc.kind, exc.line, str(exc)))
+                assert outcomes[0] == outcomes[1], edited
 
 
 def test_from_edges_reports_first_bad_edge():
