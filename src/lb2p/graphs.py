@@ -1,21 +1,21 @@
-"""Graph primitives: parsing, class predicates, traversal.
+"""Graph primitives: parsing, writing, class predicates, traversal.
 
 Vertices are dense 0-based indices.  ``Graph`` is simple and undirected, in
 compressed sparse rows: numpy ``indptr`` (n + 1) and ``nbrs``, each vertex's
 neighbours sorted, its only representation.  Degrees, edges and the class
-tests read the arrays in numpy.  Components come from one numpy kernel,
-``_roots`` (hooking and pointer jumping): ``connected_components`` runs it
-on the graph, and the 2-colouring of ``bipartition`` and ``classify`` on
-the bipartite double cover.  ``bfs_distances`` keeps a queue of its own.
-A ``Graph`` is immutable.
+tests read the arrays in numpy.  Components come from one numpy kernel, ``_roots``
+(hooking and pointer jumping): ``connected_components`` runs it on the graph, and
+the 2-colouring of ``bipartition`` and ``classify`` on the bipartite double cover.
+``bfs_distances`` keeps a queue of its own.  A ``Graph`` is immutable.
 
-``_scan`` reads a graph or formula file in numpy, with no Python string per
-line or token: a header line, then rows of a fixed number of integers.  A
-plain file (digits, single spaces and "\\n", as ``serialize_graph`` writes)
-passes one structure check and is converted by one ``np.fromstring``; any
-other is tokenised exactly.  ``parse_graph`` and ``nae.parse_nae`` call it.
-One numpy pass over the endpoints (shared with ``Graph.from_edges``) checks
-range, loops and repeats and sorts the arcs.
+``_scan`` reads a graph or formula file in numpy, with no Python string per line
+or token: a header line, then rows of a fixed number of integers.  A plain file
+(digits, single spaces and "\\n", as ``serialize_graph`` writes) passes one structure
+check and is converted by one ``np.fromstring``; any other is tokenised exactly.
+``parse_graph`` and ``nae.parse_nae`` call it.  One numpy pass over the endpoints
+(shared with ``Graph.from_edges``) checks range, loops and repeats and sorts the
+arcs.  ``serialize_graph`` writes in numpy too (``_format_rows``): digit cells,
+with no Python object per endpoint.
 """
 
 from __future__ import annotations
@@ -423,25 +423,45 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, indptr, nbrs)
 
 
+def _format_rows(head: str, rows: np.ndarray) -> str:
+    """``head``, then each row of ``rows`` (integers below 2**32) as ``"%d %d\\n"`` writes a pair:
+    right-aligned digit cells, one uint32 pass per digit place, and one mask drops the leading zeros."""
+    values = rows.ravel()
+    places = len(str(values.max(initial=0)))
+    cells = np.empty((len(values), places + 1), dtype=np.uint8)
+    rest = values.astype(np.uint32)
+    for col in range(places - 1, -1, -1):  # ``rest`` holds value // 10**(places - 1 - col)
+        np.divmod(rest, 10, out=(rest, cells[:, col]), casting="unsafe")
+    del rest
+    cells += ord("0")
+    cells[:, -1].reshape(rows.shape)[:] = [ord(" ")] * (rows.shape[1] - 1) + [ord("\n")]
+    keep = np.ones(cells.shape, dtype=bool)
+    for col in range(places - 1):
+        np.greater_equal(values, 10 ** (places - 1 - col), out=keep[:, col])
+    body = cells[keep]
+    del cells, keep
+    return head + body.tobytes().decode("ascii")
+
+
 def serialize_graph(g: Graph) -> str:
-    """Canonical form: header then edges sorted as (min,max) lexicographically."""
-    tails = g.tails()
-    up = tails < g.nbrs  # each edge once, as in ``edges``, without a tuple per edge
-    ends = np.stack((tails[up], g.nbrs[up]), axis=1).ravel().tolist()
-    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(ends)
+    """Canonical form: header then edges sorted as (min,max) lexicographically, by ``_format_rows``."""
+    tails = np.repeat(np.arange(g.n, dtype=np.uint32), np.diff(g.indptr))  # n <= MAX_VERTICES < 2**32
+    up = tails < g.nbrs  # each edge once, as in ``edges``
+    ends = np.stack((tails[up], g.nbrs[up].astype(np.uint32)), axis=1)
+    del tails, up
+    return _format_rows(f"{g.n} {g.m}\n", ends)
 
 
-def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _roots(n: int, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
     """The smallest vertex of each vertex's component in the graph on 0..n-1
-    with edges ``u[i]v[i]``, in their dtype, by min-root hooking and pointer
-    jumping (Shiloach & Vishkin, J. Algorithms 1982).  Each round hooks
-    every root onto the smallest root next to it, jumps pointers until each
-    vertex points at its tree's root, and drops the edges inside a tree.
-    No vertex points above itself, so a component's last root is its
-    smallest vertex."""
-    root = np.arange(n, dtype=u.dtype)
-    ru, rv = u, v  # the roots of the edge ends: at first each vertex is its own
-    while len(u):
+    with edges ``ru[i]rv[i]``, in their dtype, by min-root hooking and pointer
+    jumping (Shiloach & Vishkin, J. Algorithms 1982).  Each round hooks every
+    root onto the smallest root next to it, jumps pointers until each vertex
+    points at its tree's root, and keeps the edges between trees as pairs of
+    roots (trees only merge, so an old root's root is its vertices'; the
+    input arrays are dropped).  A component's last root is its smallest vertex."""
+    root = np.arange(n, dtype=ru.dtype)  # at first each vertex is its own root
+    while len(ru):
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             up = root.take(root)
@@ -449,27 +469,23 @@ def _roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
                 break
             root = up.take(up)
         # ``take`` is faster but copies int32 indices to intp: the edge ends are indexed.
-        ru, rv = root[u], root[v]
-        cross = np.flatnonzero(ru != rv)
-        u, v = u.take(cross), v.take(cross)
-        ru, rv = ru.take(cross), rv.take(cross)
+        ru, rv = root[ru], root[rv]
+        cross = ru != rv  # a bool mask: 1 byte per edge, where flatnonzero's indices take 8
+        ru, rv = ru[cross], rv[cross]
     return root
 
 
 def _two_color(g: Graph) -> Optional[np.ndarray]:
     """The colour of each vertex, or None if g has an odd cycle.
 
-    ``_roots`` on the bipartite double cover, in int32 where it fits: vertex
-    (v, c) is 2v + c, and each arc uv joins (u,0) to (v,1).  If r is the
-    smallest vertex of a component of g, (r,0) has root 2r and (r,1) root
-    2r + 1, so v's colour, 0 for r, is the parity of the root of (v,0).  An
-    odd cycle puts (v,0) and (v,1) in one cover component."""
+    ``_roots`` on the bipartite double cover, in int32 where it fits: vertex (v, c)
+    is 2v + c, and each arc uv joins (u,0) to (v,1); the arc arrays go unnamed, so that
+    ``_roots`` drops them after its first round.  If r is the smallest vertex of a component
+    of g, (r,0) has root 2r and (r,1) root 2r + 1, so v's colour, 0 for r, is the parity of
+    the root of (v,0).  An odd cycle puts (v,0) and (v,1) in one cover component."""
     index = np.int32 if g.n < 2**30 else np.int64
-    tails = np.repeat(np.arange(0, 2 * g.n, 2, dtype=index), np.diff(g.indptr))
-    root = _roots(2 * g.n, tails, 2 * g.nbrs.astype(index) + 1)
-    if (root[0::2] == root[1::2]).any():
-        return None
-    return root[0::2] & 1
+    root = _roots(2 * g.n, 2 * g.tails().astype(index), 2 * g.nbrs.astype(index) + 1)
+    return None if (root[0::2] == root[1::2]).any() else root[0::2] & 1
 
 
 def bipartition(g: Graph) -> Optional[Bipartition]:

@@ -140,11 +140,13 @@ def _clause_inputs(inst: NaeInstance, width: int, inputs: Sequence[int]) -> np.n
     return width * clauses + np.asarray(inputs, dtype=np.int64)[slots - 1]
 
 
-def _artifact(name: str, inst: NaeInstance, parts, r: int = 0) -> ReductionArtifact:
-    """The artifact of the reduction's edge arrays and layout, once its graph passes
-    the class postcondition (a raise, so that it also holds under python -O)."""
+def _artifact(name: str, inst: NaeInstance, parts: list, r: int = 0) -> ReductionArtifact:
+    """The artifact of the reduction's edge arrays (``parts``, emptied before ``classify``) and layout,
+    once its graph passes the class postcondition (a raise, so that it also holds under python -O)."""
     edges = np.concatenate([np.asarray(part, dtype=np.int64).reshape(-1, 2) for part in parts])
+    parts.clear()
     graph = Graph.from_edges(_blocks(name, inst.n, inst.k, r)[1], edges)
+    del edges
     classes = classify(graph)
     if not REDUCTIONS[name].in_class(classes, r):
         raise AssertionError(f"{name} reduction built a graph outside its class: {classes}")
@@ -393,7 +395,6 @@ def partition_to_assignment(artifact: ReductionArtifact, partition: TwoPartition
 
 
 _HEADER_RE = re.compile(r"reduction=(\w+) mode=(\w+) n=(\d+) k=(\d+) r=(\d+)")
-_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # those of str.splitlines
 
 
 def artifact_paths(base: Union[str, Path]) -> tuple[Path, Path]:
@@ -413,17 +414,16 @@ def write_artifact(artifact: ReductionArtifact, base: Union[str, Path]) -> tuple
 
 
 def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
-    """Read <base>.graph and <base>.roles.  The role map is its header line
-    alone, as str.splitlines cuts the text (only two lines are cut out): any
-    line below it, such as a per-vertex record of an older artifact, is refused."""
+    """Read <base>.graph and <base>.roles.  The role map is its header line alone, as
+    str.splitlines cuts the text: any line below it, such as a per-vertex record of an older
+    artifact, is refused.  Only two "\\n" lines of .roles are read: they hold the first two."""
     graph_path, roles_path = artifact_paths(base)
     graph = parse_graph(graph_path.read_text(encoding="ascii"))
-    text = roles_path.read_text(encoding="ascii")
-    end = _LINE_END.search(text)
-    header, rest = (text[: end.start()], end.end()) if end else (text, len(text))
-    m = _HEADER_RE.fullmatch(header) if text else None
+    with roles_path.open(encoding="ascii") as file:  # universal newlines: no "\r" is left
+        lines = (file.readline() + file.readline()).splitlines()
+    m = _HEADER_RE.fullmatch(lines[0]) if lines else None
     if not m:
-        raise RoleMapError(f"bad role-map header: {header!r}" if text else "empty role map")
+        raise RoleMapError(f"bad role-map header: {lines[0]!r}" if lines else "empty role map")
     name, mode = m.group(1, 2)
     n, k, r = map(int, m.group(3, 4, 5))
     if name not in REDUCTIONS:
@@ -439,7 +439,6 @@ def read_artifact(base: Union[str, Path]) -> ReductionArtifact:
     order = _blocks(name, n, k, r)[1]
     if order != graph.n:
         raise RoleMapError(f"the header gives {order} vertices, the graph has {graph.n}")
-    if rest < len(text):
-        end = _LINE_END.search(text, rest)
-        raise RoleMapError(f"line 2: expected end of file, found {text[rest : end.start() if end else None]!r}")
+    if len(lines) > 1:
+        raise RoleMapError(f"line 2: expected end of file, found {lines[1]!r}")
     return ReductionArtifact(name, mode, graph, n, k, r)

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, deque
 from itertools import combinations
 from pathlib import Path
@@ -152,6 +153,31 @@ def bipartite_witness_graph(half: int, b: int, rng: random.Random) -> Graph:
         x = 2 * half + i
         edges += [(u, x), (v, x)]
     return Graph.from_edges(2 * half + len(right), edges)
+
+
+def traced_peak(fn):
+    """``fn()`` and the tracemalloc peak while it ran, above what was traced
+    when it started; numpy reports its array buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def reference_serialize_graph(g: Graph) -> str:
+    """The edge-list writer as it was before it wrote digits in numpy: one
+    Python int per endpoint, formatted by ``%``."""
+    tails = g.tails()
+    up = tails < g.nbrs
+    ends = np.stack((tails[up], g.nbrs[up]), axis=1).ravel().tolist()
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(ends)
 
 
 def reference_parse_graph(text: str) -> Graph:

@@ -9,6 +9,7 @@ from helpers import (
     reference_role_index,
     reference_roles,
     run_optimized,
+    traced_peak,
 )
 from lb2p import (
     InvalidPartitionError,
@@ -139,6 +140,18 @@ def test_class_postcondition_raises_under_optimize_flag():
     )
     assert proc.returncode != 0 and proc.stdout == ""
     assert "AssertionError: odd reduction built a graph outside its class" in proc.stderr
+
+
+def test_odd_reduction_memory_is_a_few_times_its_graph():
+    """Building the 1200-variable odd reduction peaks (tracemalloc) at no
+    more than 4.5x the bytes of its graph's CSR arrays: no part array or
+    concatenated edge array is alive while ``classify`` runs (the build
+    peaked above 5x while they were)."""
+    inst = random_nae_instance(1200, random.Random(1200))
+    reduce_by_name("odd", inst)  # a first call verifies and caches the gadgets
+    art, peak = traced_peak(lambda: reduce_by_name("odd", inst))
+    csr = art.graph.indptr.nbytes + art.graph.nbrs.nbytes
+    assert peak <= 4.5 * csr, peak / csr
 
 
 def _rebuild_edges_from_roles(art, inst):
